@@ -65,33 +65,6 @@ void printHeader(const std::string &what);
 /** "x.xx" ratio formatting with a trailing 'x'. */
 std::string speedupStr(double s);
 
-/**
- * Deprecated shim over the shared Runner for out-of-tree callers of
- * the old stringly-keyed cache. Runs are memoized process-wide, so
- * distinct TimingCache instances now share results.
- */
-class [[deprecated(
-    "use bench::runner() / bench::perIterMs / bench::timingResult")]]
-TimingCache
-{
-  public:
-    /** Per-iteration milliseconds for a paper-wire timing run. */
-    double
-    perIterMs(rl::Algo algo, dist::StrategyKind k, std::size_t workers = 4,
-              bool tree = false)
-    {
-        return bench::perIterMs(algo, k, workers, tree);
-    }
-
-    /** Full result of the cached timing run. */
-    const dist::RunResult &
-    result(rl::Algo algo, dist::StrategyKind k, std::size_t workers = 4,
-           bool tree = false)
-    {
-        return bench::timingResult(algo, k, workers, tree);
-    }
-};
-
 } // namespace isw::bench
 
 #endif // ISW_BENCH_COMMON_HH

@@ -4,6 +4,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
+#include "sim/simulation.hh"
 
 namespace {
 
@@ -61,6 +62,46 @@ BM_CancelHeavy(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CancelHeavy);
+
+/** One self-rescheduling event chain on a Simulation. */
+struct AfterHop
+{
+    Simulation *sim;
+    std::size_t *left; ///< events still to fire, shared by all chains
+    TimeNs delay;
+
+    void
+    operator()() const
+    {
+        if (*left == 0)
+            return;
+        --*left;
+        sim->after(delay, *this);
+    }
+};
+
+/**
+ * The simulator's own scheduling path: 16 chains, each event
+ * rescheduling itself through Simulation::after with a chain-specific
+ * delay (so chains interleave through both the tail and the heap),
+ * until the budget of events is spent.
+ */
+void
+BM_SimulationAfterChain(benchmark::State &state)
+{
+    constexpr TimeNs kChains = 16;
+    const auto n = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        Simulation sim;
+        std::size_t left = n;
+        for (TimeNs c = 0; c < kChains; ++c)
+            sim.after(c, AfterHop{&sim, &left, kChains + c});
+        benchmark::DoNotOptimize(sim.run());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n + kChains));
+}
+BENCHMARK(BM_SimulationAfterChain)->Arg(65536);
 
 void
 BM_RngLognormal(benchmark::State &state)

@@ -119,33 +119,10 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
             auto oit = out_[wp->index].find(tid);
             if (stopped() || oit == out_[wp->index].end())
                 return 0;
-            if (!crossDomainFabric()) {
-                // Free-ack model: consult the successor's assembler for
-                // what is still missing (absent = nothing arrived yet).
-                std::vector<std::uint64_t> missing;
-                auto ait = ring_[rcv].inflight.find(tid);
-                if (ait != ring_[rcv].inflight.end()) {
-                    missing = ait->second.missingSegments();
-                } else {
-                    missing.resize(oit->second.fmt.segments());
-                    for (std::uint64_t s = 0; s < missing.size(); ++s)
-                        missing[s] = s;
-                }
-                for (std::uint64_t seg : missing) {
-                    sendVectorSegment(
-                        *oit->second.src, oit->second.dst->ip(),
-                        kWorkerPort, kWorkerPort, /*tos=*/0, tid,
-                        oit->second.data, oit->second.fmt, seg,
-                        /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                        wp->ppp.get());
-                    ++recovery_.retransmits;
-                }
-                return missing.size();
-            }
-            // Partitioned fabric: the successor's assembler lives in
-            // its own domain — probe there, hop back here to resend.
-            // Stay armed (return 1) until the successor's completion
-            // defers a done() to this domain.
+            // Free-ack model: the successor's assembler (absent =
+            // nothing arrived yet) lives in its own domain — probe
+            // there, hop back here to resend. Stay armed (return 1)
+            // until the successor's completion defers a done() here.
             inDomainOf(workers_[rcv].host, [this, wp, tid, rcv] {
                 if (stopped())
                     return;
@@ -223,28 +200,20 @@ SyncAllReduceJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
     if (it->second.offer(*chunk)) {
         // Transfer complete: release the predecessor's retransmission
         // guard for it. The guard (timer + Outgoing entry) belongs to
-        // the predecessor's domain, so on a partitioned fabric the
-        // release hops there; transfer ids never repeat, so a stale
-        // lookup is a harmless no-op.
+        // the predecessor's domain, so the release hops there;
+        // transfer ids never repeat, so a stale lookup is a harmless
+        // no-op.
         if (recoveryEnabled()) {
             const std::size_t pred =
                 (w.index + workers_.size() - 1) % workers_.size();
             const std::uint64_t tid = chunk->transfer_id;
-            if (!crossDomainFabric()) {
+            inDomainOf(workers_[pred].host, [this, pred, tid] {
                 auto oit = out_[pred].find(tid);
                 if (oit != out_[pred].end()) {
                     oit->second.timer.done();
                     out_[pred].erase(oit);
                 }
-            } else {
-                inDomainOf(workers_[pred].host, [this, pred, tid] {
-                    auto oit = out_[pred].find(tid);
-                    if (oit != out_[pred].end()) {
-                        oit->second.timer.done();
-                        out_[pred].erase(oit);
-                    }
-                });
-            }
+            });
         }
         tryAdvance(w);
     }

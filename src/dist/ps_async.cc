@@ -68,8 +68,7 @@ AsyncPsJob::start()
     // Anchor each initial pull in its worker's home domain: start()
     // runs in setup context (events land in domain 0), but the pull
     // retransmission timer must be armed where done() will later run —
-    // the worker's own domain. Zero-delay wrappers in worker order keep
-    // the serial event sequence (and reports) byte-identical.
+    // the worker's own domain. Zero-delay wrappers keep worker order.
     for (auto &w : workers_) {
         WorkerCtx *wp = &w;
         sim_->atInDomain(w.host->domain(), sim_->now(),
@@ -144,22 +143,15 @@ AsyncPsJob::onPsPacket(const net::PacketPtr &pkt)
         // Full gradient received: apply it after the update cost.
         const sim::TimeNs wu =
             cfg_.profile.sample(IterComponent::kWeightUpdate, ps_rng_);
-        if (!sim_->sharded()) {
-            workers_[idx].metrics.add(IterComponent::kWeightUpdate, wu);
-            workers_[idx].metrics.add(IterComponent::kGradAggregation,
-                                      sim_->now() - workers_[idx].lgc_end);
-        } else {
-            // lgc_end and the accumulator belong to the worker's
-            // domain: attribute there, against the arrival timestamp.
-            WorkerCtx *wp = &workers_[idx];
-            const sim::TimeNs arrive = sim_->now();
-            inDomainOf(wp->host, [this, wp, wu, arrive] {
-                wp->metrics.add(IterComponent::kWeightUpdate, wu);
-                wp->metrics.add(IterComponent::kGradAggregation,
-                                arrive > wp->lgc_end ? arrive - wp->lgc_end
-                                                     : 0);
-            });
-        }
+        // lgc_end and the accumulator belong to the worker's domain:
+        // attribute there, against the arrival timestamp.
+        WorkerCtx *wp = &workers_[idx];
+        const sim::TimeNs arrive = sim_->now();
+        inDomainOf(wp->host, [wp, wu, arrive] {
+            wp->metrics.add(IterComponent::kWeightUpdate, wu);
+            wp->metrics.add(IterComponent::kGradAggregation,
+                            arrive > wp->lgc_end ? arrive - wp->lgc_end : 0);
+        });
         const ml::Vec grad = srv_rx_[idx].vector();
         srv_rx_[idx].reset();
         sim_->after(cfg_.overhead.recv + wu, [this, grad] {
@@ -230,32 +222,9 @@ AsyncPsJob::lgc(WorkerCtx &w)
                     const std::size_t i = wp->index;
                     if (stopped() || push_seq_[i] != seq)
                         return 0;
-                    if (!crossDomainFabric()) {
-                        if (srv_applied_[i] >= seq)
-                            return 0;
-                        // If the server never adopted this seq, all of
-                        // it is missing; else consult its assembler.
-                        std::vector<std::uint64_t> missing;
-                        if (srv_asm_seq_[i] == seq) {
-                            missing = srv_rx_[i].missingSegments();
-                        } else {
-                            missing.resize(fmt_.segments());
-                            for (std::uint64_t s = 0; s < missing.size();
-                                 ++s)
-                                missing[s] = s;
-                        }
-                        for (std::uint64_t seg : missing) {
-                            sendVectorSegment(
-                                *wp->host, cluster_.ps->ip(), kPsPort,
-                                kWorkerPort, /*tos=*/0, tid, last_push_[i],
-                                fmt_, seg, /*seg_base=*/0, /*job=*/0,
-                                /*ver_quota=*/0, wp->ppp.get());
-                            ++recovery_.retransmits;
-                        }
-                        return missing.size();
-                    }
-                    // Partitioned fabric: probe the server's assembler
-                    // in its home domain, hop back here to resend.
+                    // Probe the server's assembler in its home domain
+                    // (a seq it never adopted is missing whole), hop
+                    // back here to resend.
                     inDomainOf(cluster_.ps, [this, wp, tid, seq] {
                         const std::size_t i = wp->index;
                         if (stopped() || srv_applied_[i] >= seq ||

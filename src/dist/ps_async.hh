@@ -35,9 +35,9 @@ class AsyncPsJob : public JobBase
     void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
 
     /** Server version as seen by a worker's staleness check: the live
-     *  counter in serial runs (byte-identical to pre-sharding reports),
-     *  the barrier-published snapshot when sharded (no cross-domain
-     *  race on the server's live counter). */
+     *  counter on a one-domain engine, the barrier-published snapshot
+     *  on a multi-domain one (no cross-domain race on the server's
+     *  live counter). */
     std::uint64_t stalenessVersion() const;
     void onShardBarrier() override;
 
@@ -52,7 +52,7 @@ class AsyncPsJob : public JobBase
     /** Snapshot of srv_version_ taken at every sharded window barrier
      *  (the engine's only globally-ordered point); workers read their
      *  staleness bound from here so runs are deterministic across
-     *  shard_threads. Unused in serial runs. */
+     *  shard_threads. Unused on a one-domain engine. */
     std::atomic<std::uint64_t> srv_version_pub_{0};
     std::vector<VectorAssembler> srv_rx_; ///< per-worker gradient streams
     std::vector<std::uint64_t> installed_version_;

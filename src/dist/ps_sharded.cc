@@ -79,13 +79,10 @@ SyncShardedPsJob::SyncShardedPsJob(const JobConfig &cfg) : JobBase(cfg)
         for (std::size_t s = 0; s < k; ++s)
             per_shard[s].reset(shards_[s].fmt);
     }
-    ps_rng_ = sim_->forkRng();
-    if (crossDomainFabric()) {
-        shard_rng_.reserve(k);
-        for (std::size_t s = 0; s < k; ++s)
-            shard_rng_.push_back(sim_->forkRng());
-        shard_wu_.assign(k, 0);
-    }
+    shard_rng_.reserve(k);
+    for (std::size_t s = 0; s < k; ++s)
+        shard_rng_.push_back(sim_->forkRng());
+    shard_wu_.assign(k, 0);
     grad_retx_.resize(workers_.size() * k);
     result_retx_.resize(workers_.size() * k);
     for (auto &t : grad_retx_)
@@ -137,34 +134,9 @@ SyncShardedPsJob::beginRound(WorkerCtx &w)
                     [this, wp, s, r]() -> std::size_t {
                         if (stopped())
                             return 0;
-                        if (!crossDomainFabric()) {
-                            if (state_[s].round != r)
-                                return 0;
-                            const ShardSpec &sp = shards_[s];
-                            std::size_t n = 0;
-                            for (std::uint64_t seg :
-                                 state_[s].rx[wp->index]
-                                     .missingSegments()) {
-                                sendVectorSegment(
-                                    *wp->host,
-                                    cluster_.ps_shards[s]->ip(), kPsPort,
-                                    kWorkerPort, /*tos=*/0,
-                                    makeTid(r, wp->index),
-                                    std::span<const float>(
-                                        wp->pending_grad.data() +
-                                            sp.log_begin,
-                                        sp.log_end - sp.log_begin),
-                                    sp.fmt, seg, /*seg_base=*/0,
-                                    /*job=*/0, /*ver_quota=*/0,
-                                    wp->ppp.get());
-                                ++recovery_.retransmits;
-                                ++n;
-                            }
-                            return n;
-                        }
-                        // Partitioned fabric: probe the shard's
-                        // assembler in its home domain, hop back to
-                        // the worker's domain to resend.
+                        // Probe the shard's assembler in its home
+                        // domain, hop back to the worker's domain to
+                        // resend.
                         inDomainOf(cluster_.ps_shards[s],
                                    [this, wp, s, r] {
                             if (stopped() || state_[s].round != r)
@@ -239,21 +211,14 @@ SyncShardedPsJob::shardAggregate(std::size_t shard)
     const auto sum_time = static_cast<sim::TimeNs>(
         sum_bytes / cfg_.ps_sum_bytes_per_sec * 1e9);
     // Every shard performs its slice of the weight update; slices run
-    // in parallel so the visible update cost is one shard's share. On
-    // a partitioned fabric each shard samples its own rng fork and
-    // publishes into its own slot (single-writer per domain).
-    sim::TimeNs wu_share;
-    if (crossDomainFabric()) {
-        wu_share = cfg_.profile.sample(IterComponent::kWeightUpdate,
-                                       shard_rng_[shard]) /
-                   shards_.size();
-        shard_wu_[shard] = wu_share;
-    } else {
-        wu_share = cfg_.profile.sample(IterComponent::kWeightUpdate,
-                                       ps_rng_) /
-                   shards_.size();
-        last_server_wu_ = wu_share;
-    }
+    // in parallel so the visible update cost is one shard's share.
+    // Each shard samples its own rng fork and publishes into its own
+    // slot (single-writer per domain).
+    const sim::TimeNs wu_share =
+        cfg_.profile.sample(IterComponent::kWeightUpdate,
+                            shard_rng_[shard]) /
+        shards_.size();
+    shard_wu_[shard] = wu_share;
 
     for (auto &rx : st.rx)
         rx.reset();
@@ -280,26 +245,6 @@ SyncShardedPsJob::shardAggregate(std::size_t shard)
                     [this, shard, wp, tid, round]() -> std::size_t {
                         if (stopped())
                             return 0;
-                        if (!crossDomainFabric()) {
-                            if (wp->round != round)
-                                return 0;
-                            std::size_t n = 0;
-                            for (std::uint64_t seg :
-                                 worker_rx_[wp->index][shard]
-                                     .missingSegments()) {
-                                sendVectorSegment(
-                                    *cluster_.ps_shards[shard],
-                                    wp->host->ip(), kWorkerPort, kPsPort,
-                                    /*tos=*/0, tid, state_[shard].sum,
-                                    shards_[shard].fmt, seg,
-                                    /*seg_base=*/0, /*job=*/0,
-                                    /*ver_quota=*/0,
-                                    state_[shard].ppp.get());
-                                ++recovery_.retransmits;
-                                ++n;
-                            }
-                            return n;
-                        }
                         // Probe the worker's assembler in its domain,
                         // then resend from the shard's domain. The
                         // round guard on the shard side keeps stale
@@ -379,16 +324,12 @@ SyncShardedPsJob::onSlicesComplete(WorkerCtx &w)
         }
         slices_done_[w.index] = 0;
 
-        // Partitioned fabrics publish per-shard wu shares; the round's
-        // critical path is the slowest shard. Each shard_wu_ slot is
-        // safely readable here: a shard cannot recycle it for round
-        // r+1 until this worker (among all) scatters r+1.
-        sim::TimeNs server_wu = last_server_wu_;
-        if (crossDomainFabric()) {
-            server_wu = 0;
-            for (sim::TimeNs wu : shard_wu_)
-                server_wu = std::max(server_wu, wu);
-        }
+        // The round's critical path is the slowest shard's update.
+        // Each shard_wu_ slot is safely readable here: a shard cannot
+        // recycle it for round r+1 until this worker (among all)
+        // scatters r+1.
+        const sim::TimeNs server_wu =
+            *std::max_element(shard_wu_.begin(), shard_wu_.end());
         const sim::TimeNs elapsed = sim_->now() - w.lgc_end;
         const sim::TimeNs agg_time =
             elapsed > server_wu ? elapsed - server_wu : 0;

@@ -66,14 +66,10 @@ class SyncShardedPsJob : public JobBase
     std::vector<std::vector<VectorAssembler>> worker_rx_;
     /** Per-worker reassembled aggregate. */
     std::vector<ml::Vec> agg_;
-    sim::TimeNs last_server_wu_ = 0;
-    sim::Rng ps_rng_;
-    /** Partitioned fabrics place each shard in its own domain, so the
-     *  shared rng/last_wu pair above would be multi-writer. Instead
+    /** Partitioned fabrics place each shard in its own domain, so
      *  each shard samples from its own fork and publishes its round's
      *  weight-update share here (single-writer per slot); workers take
-     *  the max across shards when splitting the round's charge. Empty
-     *  on star fabrics (legacy path, byte-identical reports). */
+     *  the max across shards when splitting the round's charge. */
     std::vector<sim::Rng> shard_rng_;
     std::vector<sim::TimeNs> shard_wu_;
     /** Loss-recovery timers, flattened worker * K + shard (deque:

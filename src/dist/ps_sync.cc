@@ -82,28 +82,11 @@ SyncPsJob::beginRound(WorkerCtx &w)
             grad_retx_[wp->index].arm([this, wp, r]() -> std::size_t {
                 if (stopped())
                     return 0;
-                if (!crossDomainFabric()) {
-                    if (srv_round_ != r)
-                        return 0;
-                    std::size_t n = 0;
-                    for (std::uint64_t seg :
-                         ps_rx_[wp->index].missingSegments()) {
-                        sendVectorSegment(*wp->host, cluster_.ps->ip(),
-                                          kPsPort, kWorkerPort, /*tos=*/0,
-                                          gradTid(r, wp->index),
-                                          wp->pending_grad, fmt_, seg,
-                                          /*seg_base=*/0, /*job=*/0,
-                                          /*ver_quota=*/0, wp->ppp.get());
-                        ++recovery_.retransmits;
-                        ++n;
-                    }
-                    return n;
-                }
-                // Partitioned fabric: the server's assembler lives in
-                // another domain, so the timer probes it there and the
-                // resend hops back to the worker's domain. The timer
-                // stays armed (return 1) until the server's completion
-                // defers a done() to this domain.
+                // The server's assembler lives in its own domain, so
+                // the timer probes it there and the resend hops back
+                // to the worker's domain. The timer stays armed
+                // (return 1) until the server's completion defers a
+                // done() to this domain.
                 inDomainOf(cluster_.ps, [this, wp, r] {
                     if (stopped() || srv_round_ != r)
                         return;
@@ -192,21 +175,6 @@ SyncPsJob::serverAggregate()
                                              round]() -> std::size_t {
                     if (stopped())
                         return 0;
-                    if (!crossDomainFabric()) {
-                        if (wp->round != round)
-                            return 0;
-                        std::size_t n = 0;
-                        for (std::uint64_t seg : wp->rx.missingSegments()) {
-                            sendVectorSegment(
-                                *cluster_.ps, wp->host->ip(), kWorkerPort,
-                                kPsPort, /*tos=*/0, tid, ps_sum_, fmt_, seg,
-                                /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                                srv_ppp_.get());
-                            ++recovery_.retransmits;
-                            ++n;
-                        }
-                        return n;
-                    }
                     // Probe the worker's assembler in its own domain,
                     // then resend from the server's domain. srv_round_
                     // guards ps_sum_ liveness: once the next aggregate

@@ -166,7 +166,7 @@ JobBase::enableSharding()
     // One PacketPool per domain: every seal/recycle inside a window
     // touches only the executing domain's free lists.
     domain_pools_.resize(plan.domains);
-    sim_->engine()->setDomainHooks(
+    sim_->engine().setDomainHooks(
         [this](sim::DomainId d) {
             net::PacketPool::setLocalOverride(&domain_pools_[d]);
         },
@@ -174,16 +174,12 @@ JobBase::enableSharding()
     // Async staleness snapshots publish at window barriers (the lambda
     // runs after construction, so the virtual dispatch reaches the
     // subclass override).
-    sim_->engine()->setBarrierHook([this] { onShardBarrier(); });
+    sim_->engine().setBarrierHook([this] { onShardBarrier(); });
 }
 
 void
 JobBase::inDomainOf(const net::Node *n, std::function<void()> fn)
 {
-    if (!crossDomainFabric()) {
-        fn(); // star / single-domain: legacy inline path, bit for bit
-        return;
-    }
     sim_->atInDomain(n->domain(), sim_->now() + domainHopDelay(),
                      std::move(fn));
 }
@@ -191,7 +187,7 @@ JobBase::inDomainOf(const net::Node *n, std::function<void()> fn)
 void
 JobBase::deferDone(RetxTimer &t, const net::Node *home)
 {
-    if (!recovery_on_ || !crossDomainFabric()) {
+    if (!recovery_on_) {
         t.done(); // no-op when unconfigured: zero events either way
         return;
     }
@@ -276,7 +272,7 @@ JobBase::installFaults()
         // the host's home domain: the send must execute on the domain
         // thread owning the host's NIC queues, and the resulting
         // membership update then rides the ordinary mailbox path to the
-        // fabric domain. Serial engines ignore the domain.
+        // fabric domain. One-domain engines ignore the domain.
         sim_->atInDomain(h->domain(), c.crash_at, [h, leaf] {
             net::ControlPayload leave;
             leave.action = net::Action::kLeave;
@@ -426,8 +422,8 @@ JobBase::scheduleLgc(WorkerCtx &w, std::function<void()> done)
     // Anchor the completion in the worker's rack domain: round 0 is
     // scheduled from the setup thread (no domain context), and this
     // pins each worker's whole event chain to its own domain under
-    // sharding. Serial engines ignore the domain, so timing and order
-    // are exactly the old after(total, ...).
+    // sharding. One-domain engines ignore the domain, so timing and
+    // order are exactly after(total, ...).
     sim_->atInDomain(wp->host->domain(), sim_->now() + total,
                      [wp, done = std::move(done)] {
                          wp->lgc_end = wp->host->simulation().now();
@@ -588,7 +584,7 @@ JobBase::finishRun(std::string error)
     // and mailbox contention is genuinely scheduling-dependent — so
     // all of them live in perf (excluded from resultToJson).
     if (sim_->sharded()) {
-        const sim::ShardedEngine &eng = *sim_->engine();
+        const sim::ShardedEngine &eng = sim_->engine();
         res.perf["shard_windows"] = static_cast<double>(eng.windows());
         res.perf["shard_windows_serial"] =
             static_cast<double>(eng.windowsSerialFastPath());

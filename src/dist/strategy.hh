@@ -107,12 +107,13 @@ struct JobConfig
      */
     bool use_fat_tree = false;
     /**
-     * Execute on the domain-sharded parallel engine (sim/shard.hh):
-     * one domain per rack, windows bounded by the uplink propagation
-     * delay. Requires a multi-rack tree/fat-tree cluster (throws
-     * otherwise); every strategy and lossy/faulted environments are
-     * supported (DESIGN.md §15). Sync lossless and sync lossy reports
-     * are byte-identical to the serial engine; async reports are
+     * Run on one engine domain per rack (sim/shard.hh), with windows
+     * bounded by the uplink propagation delay, instead of the default
+     * single domain. Requires a multi-rack tree/fat-tree cluster
+     * (throws otherwise); every strategy and lossy/faulted environment
+     * is supported (DESIGN.md §15). Both settings run the same
+     * recovery path, so sync lossless and sync lossy reports are
+     * byte-identical to the one-domain run; async reports are
      * deterministic across shard_threads. Both hold up to
      * sub-lookahead event ties, which the millisecond-scale compute
      * jitter makes vanishingly unlikely; the determinism regression
@@ -316,21 +317,10 @@ class JobBase
     }
 
     /**
-     * True when the cluster is partitioned into >= 2 shard domains
-     * (multi-rack tree/fat-tree fabrics) — regardless of the engine
-     * actually in use. The cross-domain hop discipline below keys off
-     * the *fabric*, not off cfg_.shard, so a serial run of a
-     * partitioned fabric behaves identically to its sharded twin
-     * (byte-identical reports), while star clusters keep the legacy
-     * zero-hop paths bit for bit.
-     */
-    bool crossDomainFabric() const { return cluster_.sim_domains >= 2; }
-
-    /**
      * Fixed delay when deferring work into another node's domain:
      * the conservative window width, so a mid-window handoff is
      * always a legal cross-domain schedule (now >= window start =>
-     * now + hop >= window end).
+     * now + hop >= window end). 1 ns on single-domain (star) fabrics.
      */
     sim::TimeNs domainHopDelay() const
     {
@@ -338,10 +328,9 @@ class JobBase
     }
 
     /**
-     * Run @p fn in the domain owning node @p n. Single-domain fabrics
-     * call it inline (zero new events — star reports unchanged);
-     * partitioned fabrics schedule it at now + domainHopDelay() in
-     * n's domain, on serial *and* sharded engines alike. Used to
+     * Run @p fn in the domain owning node @p n, at now +
+     * domainHopDelay(), on every fabric and engine alike (so a
+     * one-domain run behaves exactly like its sharded twin). Used to
      * introspect another domain's receive state (retransmit probes)
      * and to resend from the owning side.
      */
@@ -349,11 +338,11 @@ class JobBase
 
     /**
      * Complete @p t from a foreign domain: defers t.done() into the
-     * domain of @p home (the node whose event chain armed the timer).
-     * Inline on single-domain fabrics or when recovery is off, so
-     * lossless and star runs schedule zero extra events. The deferred
-     * done cannot race a re-arm: re-arming requires a full network
-     * round trip (>> one hop) after the completion that triggered it.
+     * domain of @p home (the node whose event chain armed the timer)
+     * by one domainHopDelay(). Inline when recovery is off, so
+     * lossless runs schedule zero extra events. The deferred done
+     * cannot race a re-arm: re-arming requires a full network round
+     * trip (>> one hop) after the completion that triggered it.
      */
     void deferDone(RetxTimer &t, const net::Node *home);
 

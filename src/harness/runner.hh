@@ -54,7 +54,6 @@ struct ExperimentSpec
  * field. Doubles are encoded by bit pattern, which makes the ordering
  * total (NaN-safe — StopCondition::target_reward is NaN for timing
  * runs) and two configs equal exactly when every field is bit-equal.
- * Replaces the stringly-keyed bench::TimingCache map.
  */
 struct SpecKey
 {

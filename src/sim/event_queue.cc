@@ -143,52 +143,23 @@ EventQueue::extract(bool from_tail)
 bool
 EventQueue::runOne()
 {
-    bool from_tail;
-    if (peekLive(&from_tail) == nullptr)
-        return false;
-    const Entry e = extract(from_tail);
-    Callback cb = std::move(slots_[e.key & kSlotMask].cb);
-    retireSlot(e.key);
-    --pending_;
-    ++executed_;
-    now_ = e.when;
-    cb();
-    return true;
+    return runWindow(kNoEvent, 1) != 0;
 }
 
 std::size_t
 EventQueue::runUntil(TimeNs deadline)
 {
-    std::size_t n = 0;
-    for (;;) {
-        bool from_tail;
-        const Entry *top = peekLive(&from_tail);
-        if (top == nullptr) {
-            if (now_ < deadline)
-                now_ = deadline;
-            break;
-        }
-        if (top->when > deadline)
-            break;
-        const Entry e = extract(from_tail);
-        Callback cb = std::move(slots_[e.key & kSlotMask].cb);
-        retireSlot(e.key);
-        --pending_;
-        ++executed_;
-        now_ = e.when;
-        cb();
-        ++n;
-    }
+    const std::size_t n =
+        runWindow(deadline == kNoEvent ? kNoEvent : deadline + 1);
+    if (empty() && now_ < deadline)
+        now_ = deadline;
     return n;
 }
 
 std::size_t
 EventQueue::runAll(std::size_t max_events)
 {
-    std::size_t n = 0;
-    while (n < max_events && runOne())
-        ++n;
-    return n;
+    return runWindow(kNoEvent, max_events);
 }
 
 TimeNs
@@ -200,10 +171,10 @@ EventQueue::nextTime()
 }
 
 std::size_t
-EventQueue::runWindow(TimeNs end_exclusive)
+EventQueue::runWindow(TimeNs end_exclusive, std::size_t max_events)
 {
     std::size_t n = 0;
-    for (;;) {
+    while (n < max_events) {
         bool from_tail;
         const Entry *top = peekLive(&from_tail);
         if (top == nullptr || top->when >= end_exclusive)

@@ -118,7 +118,8 @@ class EventQueue
 
     /**
      * Run events until simulated time exceeds @p deadline or the queue
-     * drains. Events scheduled exactly at @p deadline do run.
+     * drains. Events scheduled exactly at @p deadline do run, and a
+     * queue that drains early parks the clock at @p deadline.
      * @return number of events executed.
      */
     std::size_t runUntil(TimeNs deadline);
@@ -130,15 +131,18 @@ class EventQueue
     std::size_t runAll(std::size_t max_events = SIZE_MAX);
 
     /**
-     * Run events strictly before @p end_exclusive. Unlike runUntil(),
-     * the clock never force-advances to the window edge: now() is left
-     * at the last executed event, so a later window (or an event merged
-     * in from another domain at >= end_exclusive) observes exactly the
-     * serial-queue clock semantics. This is the conservative-window
-     * primitive of the domain-sharded engine (sim/shard.hh).
+     * Run events strictly before @p end_exclusive, at most
+     * @p max_events of them. Unlike runUntil(), the clock never
+     * force-advances to the window edge: now() is left at the last
+     * executed event, so a later window (or an event merged in from
+     * another domain at >= end_exclusive) observes exactly the
+     * serial-queue clock semantics. This is the one run loop: the
+     * other run methods and the domain-sharded engine (sim/shard.hh)
+     * are wrappers over it.
      * @return number of events executed.
      */
-    std::size_t runWindow(TimeNs end_exclusive);
+    std::size_t runWindow(TimeNs end_exclusive,
+                          std::size_t max_events = SIZE_MAX);
 
   private:
     /** Slot index bits inside a packed key (max 16M pending events). */

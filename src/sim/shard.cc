@@ -5,11 +5,8 @@
 
 namespace isw::sim {
 
-thread_local ShardedEngine *ShardedEngine::tls_engine_ = nullptr;
-thread_local DomainId ShardedEngine::tls_domain_ = kNoDomain;
-
 ShardedEngine::ShardedEngine(const ShardPlan &plan)
-    : lookahead_(plan.lookahead)
+    : single_(plan.domains == 1), lookahead_(plan.lookahead)
 {
     if (plan.domains == 0)
         throw std::invalid_argument("ShardedEngine: need at least 1 domain");
@@ -18,15 +15,14 @@ ShardedEngine::ShardedEngine(const ShardPlan &plan)
     if (plan.lookahead == 0)
         throw std::invalid_argument("ShardedEngine: lookahead must be > 0");
     domains_.resize(plan.domains);
+    for (std::size_t d = 0; d < domains_.size(); ++d)
+        domains_[d].id = static_cast<DomainId>(d);
 
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    const unsigned want = plan.threads != 0 ? plan.threads : hw;
+    const unsigned want = plan.threads != 0
+                              ? plan.threads
+                              : std::thread::hardware_concurrency();
     nthreads_ = static_cast<unsigned>(
-        std::min<std::size_t>(want, plan.domains));
-    if (nthreads_ == 0)
-        nthreads_ = 1;
+        std::clamp<std::size_t>(want, 1, plan.domains));
     pool_.reserve(nthreads_ - 1);
     for (unsigned i = 1; i < nthreads_; ++i)
         pool_.emplace_back(&ShardedEngine::workerMain, this, i);
@@ -51,50 +47,46 @@ ShardedEngine::~ShardedEngine()
 }
 
 EventId
-ShardedEngine::schedule(DomainId d, TimeNs when, EventQueue::Callback cb)
+ShardedEngine::scheduleSlow(DomainId d, TimeNs when,
+                            EventQueue::Callback &&cb)
 {
-    if (d >= domains_.size())
+    if (single_)
+        d = 0;
+    else if (d >= domains_.size())
         throw std::out_of_range("ShardedEngine: no such domain");
     Domain &dst = domains_[d];
-    if (tls_engine_ == this && tls_domain_ != kNoDomain) {
-        if (d == tls_domain_)
-            return dst.q.schedule(when, std::move(cb));
-        // Cross-domain handoff. The conservative-window contract says
-        // nothing scheduled during [T, end) may land in another domain
-        // before `end`; a violation means the domain partition cut a
-        // dependency shorter than the lookahead — a setup bug.
-        if (when < window_end_.load(std::memory_order_relaxed))
-            throw std::logic_error(
-                "ShardedEngine: cross-domain event violates lookahead");
-        // Stage in the *source* domain (thread-private, no contention);
-        // flushed as one batch node per destination when this domain's
-        // window slice ends.
-        Domain &src = domains_[tls_domain_];
-        const std::uint64_t seq = src.send_seq++;
-        for (auto &entry : src.staged) {
-            if (entry.first == d) {
-                entry.second.push_back(
-                    CrossEvent{when, tls_domain_, seq, std::move(cb)});
-                return kInvalidEventId;
-            }
+    Domain *src = executing();
+    if (src == nullptr) // setup / between windows: owning thread only
+        return dst.q.schedule(when, std::move(cb));
+    // Cross-domain handoff. The conservative-window contract says
+    // nothing scheduled during [T, end) may land in another domain
+    // before `end`; a violation means the domain partition cut a
+    // dependency shorter than the lookahead — a setup bug.
+    if (when < window_end_.load(std::memory_order_relaxed))
+        throw std::logic_error(
+            "ShardedEngine: cross-domain event violates lookahead");
+    // Stage in the *source* domain (thread-private, no contention);
+    // flushed as one batch node per destination when this domain's
+    // window slice ends.
+    const std::uint64_t seq = src->send_seq++;
+    for (auto &entry : src->staged) {
+        if (entry.first == d) {
+            entry.second.push_back(
+                CrossEvent{when, src->id, seq, std::move(cb)});
+            return kInvalidEventId;
         }
-        src.staged.emplace_back(d, std::vector<CrossEvent>{});
-        src.staged.back().second.push_back(
-            CrossEvent{when, tls_domain_, seq, std::move(cb)});
-        return kInvalidEventId; // mailbox events have no queue key yet
     }
-    // Setup / between windows: only the owning thread runs here.
-    return dst.q.schedule(when, std::move(cb));
+    src->staged.emplace_back(d, std::vector<CrossEvent>{});
+    src->staged.back().second.push_back(
+        CrossEvent{when, src->id, seq, std::move(cb)});
+    return kInvalidEventId; // mailbox events have no queue key yet
 }
 
 bool
 ShardedEngine::cancelHere(EventId id)
 {
-    if (id == kInvalidEventId)
-        return false;
-    const DomainId d =
-        tls_engine_ == this && tls_domain_ != kNoDomain ? tls_domain_ : 0;
-    return domains_[d].q.cancel(id);
+    Domain *here = executing();
+    return (here != nullptr ? *here : domains_.front()).q.cancel(id);
 }
 
 bool
@@ -102,25 +94,20 @@ ShardedEngine::cancelIn(DomainId d, EventId id)
 {
     if (id == kInvalidEventId)
         return false;
-    if (d >= domains_.size())
+    if (single_)
+        d = 0;
+    else if (d >= domains_.size())
         throw std::out_of_range("ShardedEngine: no such domain");
     // Inside a window only the executing domain's own queue is safe to
     // touch: another domain's queue may be mid-run on another thread,
     // and EventIds are only unique per queue, so a silent cross-domain
     // cancel would corrupt an unrelated event. Loud beats undefined.
-    if (tls_engine_ == this && tls_domain_ != kNoDomain && tls_domain_ != d)
+    const Domain *here = executing();
+    if (here != nullptr && here->id != d)
         throw std::logic_error(
             "ShardedEngine: cross-domain cancel mid-window — EventIds "
             "are queue-local; defer the cancel to its home domain");
     return domains_[d].q.cancel(id);
-}
-
-TimeNs
-ShardedEngine::now() const
-{
-    if (tls_engine_ == this && tls_domain_ != kNoDomain)
-        return domains_[tls_domain_].q.now();
-    return committed_;
 }
 
 bool
@@ -239,48 +226,53 @@ ShardedEngine::drainInboxes()
 }
 
 void
-ShardedEngine::runDomainSlice(DomainId d, TimeNs end_exclusive)
+ShardedEngine::runDomainSlice(DomainId d, TimeNs end_exclusive,
+                              std::size_t max_events)
 {
     Domain &dom = domains_[d];
-    tls_domain_ = d;
-    if (enter_)
-        enter_(d);
-    // The leave hook must run even when a callback throws (lookahead or
-    // cancel-contract violations surface as exceptions): it restores
-    // thread-local state — e.g. a per-domain packet-pool override — that
-    // would otherwise dangle past the owning job's lifetime.
-    struct LeaveGuard
+    // Pin the thread's domain context for the slice and restore the
+    // previous one afterwards — also when a callback throws (lookahead
+    // or cancel-contract violations surface as exceptions), and so a
+    // Simulation run from inside another one's event leaves the outer
+    // context intact. The leave hook must run on the throwing path too:
+    // it restores thread-local state — e.g. a per-domain packet-pool
+    // override — that would otherwise dangle past the owning job's
+    // lifetime.
+    struct SliceGuard
     {
         ShardedEngine *eng;
         DomainId d;
-        bool fired = false;
+        ShardedEngine *prev_engine = tls_engine_;
+        Domain *prev_dom = tls_dom_;
+        bool left = false;
         void
-        fire()
+        leave()
         {
-            if (fired)
+            if (left)
                 return;
-            fired = true;
+            left = true;
             if (eng->leave_)
                 eng->leave_(d);
         }
-        ~LeaveGuard() { fire(); }
+        ~SliceGuard()
+        {
+            leave();
+            tls_engine_ = prev_engine;
+            tls_dom_ = prev_dom;
+        }
     } guard{this, d};
-    dom.q.runWindow(end_exclusive);
-    guard.fire();
+    tls_engine_ = this;
+    tls_dom_ = &dom;
+    if (enter_)
+        enter_(d);
+    dom.q.runWindow(end_exclusive, max_events);
+    guard.leave();
     flushStaged(dom);
 }
 
 void
 ShardedEngine::runOwnedDomains(unsigned worker, TimeNs end_exclusive)
 {
-    // Clear the thread's domain context even if a callback throws (a
-    // lookahead violation must not leave stale context behind).
-    struct ContextGuard
-    {
-        ~ContextGuard() { tls_domain_ = kNoDomain; }
-    };
-    tls_engine_ = this;
-    ContextGuard guard;
     for (std::size_t d = worker; d < domains_.size(); d += nthreads_) {
         Domain &dom = domains_[d];
         if (dom.q.nextTime() >= end_exclusive) {
@@ -330,22 +322,19 @@ ShardedEngine::runWindowParallel(TimeNs end_exclusive)
 }
 
 std::size_t
-ShardedEngine::runWindowSerial(DomainId only, TimeNs end_exclusive)
+ShardedEngine::runWindowSerial(DomainId only, TimeNs end_exclusive,
+                               std::size_t max_events)
 {
     // Only one domain can reach the horizon: run it inline and leave
     // the worker pool parked (no futex round trip). Behavior matches
     // runWindowParallel exactly — every other domain would have been
-    // skipped as idle, which is what the counter records.
+    // skipped as idle, which is what the counter records. Stopping
+    // early on the budget is safe here: no other domain ran past the
+    // point where the next window restarts.
     Domain &dom = domains_[only];
     const std::uint64_t before = dom.q.executed();
     window_end_.store(end_exclusive, std::memory_order_relaxed);
-    struct ContextGuard
-    {
-        ~ContextGuard() { tls_domain_ = kNoDomain; }
-    };
-    tls_engine_ = this;
-    ContextGuard guard;
-    runDomainSlice(only, end_exclusive);
+    runDomainSlice(only, end_exclusive, max_events);
     dom.skipped += domains_.size() - 1;
     ++windows_;
     ++windows_serial_;
@@ -382,7 +371,8 @@ ShardedEngine::runLoop(TimeNs deadline, std::size_t max_events)
         if (deadline != EventQueue::kNoEvent && end > deadline)
             end = deadline + 1; // deadline-inclusive, like runUntil()
         if (t2 >= end)
-            total += runWindowSerial(static_cast<DomainId>(argmin), end);
+            total += runWindowSerial(static_cast<DomainId>(argmin), end,
+                                     max_events - total);
         else
             total += runWindowParallel(end);
         if (barrier_)
@@ -405,8 +395,8 @@ std::size_t
 ShardedEngine::runUntil(TimeNs deadline)
 {
     const std::size_t n = runLoop(deadline, SIZE_MAX);
-    // The serial queue parks the clock at the deadline when it drains
-    // early; mirror that so now() agrees.
+    // Like EventQueue::runUntil, park the clock at the deadline when
+    // the queues drain early.
     if (empty() && committed_ < deadline)
         committed_ = deadline;
     return n;

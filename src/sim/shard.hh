@@ -28,11 +28,14 @@
  * which makes the merged schedule — and hence the whole run —
  * deterministic and independent of thread count and OS scheduling.
  *
- * With a single domain the engine degenerates to "run the one queue
- * on the caller's thread with no windows", which is byte-identical to
- * the serial Simulation. Windows whose horizon only one domain can
- * reach take a serial fast path that skips the worker-pool wakeup
- * entirely.
+ * Every Simulation runs on this engine. An un-sharded one owns a
+ * single domain with an unbounded lookahead: every domain id maps to
+ * that one queue, and each run()/runUntil() call is one window on the
+ * caller's thread — the plain serial queue. Windows whose horizon
+ * only one domain can reach take a serial fast path that skips the
+ * worker-pool wakeup entirely, and only such windows honor an event
+ * budget exactly (runAll's max_events); a parallel window always runs
+ * to its end.
  */
 
 #ifndef ISW_SIM_SHARD_HH
@@ -54,17 +57,22 @@ namespace isw::sim {
 /** Index of one shard domain. */
 using DomainId = std::uint32_t;
 
-/** "Not inside any domain" (setup code, the window scheduler). */
+/** Reserved "no domain" id; a plan's domain count stays below it. */
 constexpr DomainId kNoDomain = ~DomainId{0};
+
+/** ShardPlan::lookahead of a one-domain engine: windows never end. */
+constexpr TimeNs kUnboundedLookahead = EventQueue::kNoEvent;
 
 /** How to shard a Simulation (see Simulation::shard()). */
 struct ShardPlan
 {
-    /** Number of domains (1 = serial-equivalent). */
+    /** Number of domains (1 = the serial queue). */
     std::size_t domains = 1;
     /**
      * Conservative window width: the minimum propagation delay of any
-     * link whose endpoints live in different domains. Must be > 0.
+     * link whose endpoints live in different domains. Must be > 0;
+     * kUnboundedLookahead (one domain only) makes every run call a
+     * single window.
      */
     TimeNs lookahead = 1;
     /**
@@ -97,7 +105,8 @@ class ShardedEngine
     unsigned threads() const { return nthreads_; }
 
     /**
-     * Schedule @p cb at absolute @p when in domain @p d.
+     * Schedule @p cb at absolute @p when in domain @p d (on a one-domain
+     * engine every @p d is the single queue).
      *
      * From inside domain d itself this is a plain serial schedule.
      * From inside a *different* domain the event is a cross-domain
@@ -106,19 +115,44 @@ class ShardedEngine
      * returned id is kInvalidEventId (mailbox events are not
      * cancellable — they belong to no queue yet).
      */
-    EventId schedule(DomainId d, TimeNs when, EventQueue::Callback cb);
+    EventId
+    schedule(DomainId d, TimeNs when, EventQueue::Callback &&cb)
+    {
+        Domain *here = executing();
+        if (here != nullptr && (here->id == d || single_))
+            return here->q.schedule(when, std::move(cb));
+        return scheduleSlow(d, when, std::move(cb));
+    }
 
-    /** Domain of the callback currently executing on this thread. */
-    static DomainId currentDomain() { return tls_domain_; }
+    /** Schedule at absolute @p when in the executing domain (domain 0
+     *  outside windows). */
+    EventId
+    at(TimeNs when, EventQueue::Callback &&cb)
+    {
+        if (Domain *here = executing())
+            return here->q.schedule(when, std::move(cb));
+        return scheduleSlow(0, when, std::move(cb));
+    }
+
+    /** Schedule @p delay after now() in the executing domain (domain 0
+     *  outside windows). */
+    EventId
+    after(TimeNs delay, EventQueue::Callback &&cb)
+    {
+        if (Domain *here = executing())
+            return here->q.schedule(here->q.now() + delay, std::move(cb));
+        return scheduleSlow(0, committed_ + delay, std::move(cb));
+    }
 
     /**
      * Domain to charge work initiated on this thread to: the executing
      * domain during a window, domain 0 otherwise (setup).
      */
-    DomainId hereOr0() const
+    DomainId
+    hereOr0() const
     {
-        return tls_engine_ == this && tls_domain_ != kNoDomain ? tls_domain_
-                                                               : 0;
+        const Domain *here = executing();
+        return here != nullptr ? here->id : 0;
     }
 
     /**
@@ -142,7 +176,12 @@ class ShardedEngine
 
     /** Clock visible to the current thread (domain clock inside a
      *  window, last committed global time outside). */
-    TimeNs now() const;
+    TimeNs
+    now() const
+    {
+        const Domain *here = executing();
+        return here != nullptr ? here->q.now() : committed_;
+    }
 
     /** End (exclusive) of the window currently executing. */
     TimeNs windowEnd() const
@@ -150,7 +189,8 @@ class ShardedEngine
         return window_end_.load(std::memory_order_relaxed);
     }
 
-    /** Run windows until every queue drains or @p max_events ran. */
+    /** Run windows until every queue drains or @p max_events ran
+     *  (exactly @p max_events unless a parallel window overshoots). */
     std::size_t runAll(std::size_t max_events = SIZE_MAX);
 
     /** Run windows until simulated @p deadline (inclusive, like
@@ -237,6 +277,7 @@ class ShardedEngine
     struct alignas(64) Domain
     {
         EventQueue q;
+        DomainId id = 0;
         std::uint64_t send_seq = 0; ///< stamps outgoing cross events
         std::uint64_t batches_out = 0; ///< mailbox nodes pushed
         std::uint64_t skipped = 0;     ///< idle window-slices skipped
@@ -246,15 +287,31 @@ class ShardedEngine
         std::atomic<CrossNode *> inbox{nullptr};
     };
 
+    /** The domain whose window slice this thread is executing, or
+     *  nullptr outside this engine's windows. */
+    Domain *
+    executing() const
+    {
+        return tls_engine_ == this ? tls_dom_ : nullptr;
+    }
+
+    /** schedule() for everything but an in-domain call: setup-context
+     *  schedules, cross-domain handoffs, and domain-id checks. */
+    EventId scheduleSlow(DomainId d, TimeNs when,
+                         EventQueue::Callback &&cb);
+
     std::size_t runLoop(TimeNs deadline, std::size_t max_events);
     /** Execute one window on all threads; returns events executed. */
     std::size_t runWindowParallel(TimeNs end_exclusive);
     /** Execute one window entirely on the calling thread when only
-     *  @p only can reach the horizon (skips the pool wakeup). */
-    std::size_t runWindowSerial(DomainId only, TimeNs end_exclusive);
+     *  @p only can reach the horizon (skips the pool wakeup), stopping
+     *  after @p max_events. */
+    std::size_t runWindowSerial(DomainId only, TimeNs end_exclusive,
+                                std::size_t max_events);
     /** Run one domain's slice of the current window (tls context,
      *  enter/leave hooks, staged-handoff flush). */
-    void runDomainSlice(DomainId d, TimeNs end_exclusive);
+    void runDomainSlice(DomainId d, TimeNs end_exclusive,
+                        std::size_t max_events = SIZE_MAX);
     /** Run the window slice owned by worker @p worker. */
     void runOwnedDomains(unsigned worker, TimeNs end_exclusive);
     void workerMain(unsigned worker);
@@ -265,6 +322,7 @@ class ShardedEngine
     void drainInboxes();
 
     std::deque<Domain> domains_; ///< deque: stable addrs, no moves
+    bool single_;                ///< one domain: every id maps to it
     TimeNs lookahead_;
     TimeNs committed_ = 0; ///< global clock between/after runs
 
@@ -288,8 +346,10 @@ class ShardedEngine
     std::atomic<std::uint64_t> mailbox_contention_{0};
     std::vector<CrossEvent> merge_buf_; ///< drain scratch (reused)
 
-    static thread_local ShardedEngine *tls_engine_;
-    static thread_local DomainId tls_domain_;
+    // The executing window slice, set and restored by runDomainSlice
+    // (inline so the hot path reads them without a TLS wrapper call).
+    static inline thread_local ShardedEngine *tls_engine_ = nullptr;
+    static inline thread_local Domain *tls_dom_ = nullptr;
 };
 
 } // namespace isw::sim

@@ -4,10 +4,11 @@
  *
  * Every simulated entity (link, switch, worker, ...) holds a reference
  * to one Simulation and interacts with the world exclusively through
- * it, which keeps runs deterministic. A Simulation is single-threaded
- * by default; shard() swaps the serial queue for a domain-sharded
- * conservative-parallel engine (sim/shard.hh) while keeping the same
- * scheduling API.
+ * it, which keeps runs deterministic. Events always run on a
+ * sim::ShardedEngine (sim/shard.hh). A fresh Simulation owns a
+ * one-domain engine — the serial queue, single-threaded, one window
+ * per run call — and shard() swaps in a D-domain conservative-parallel
+ * engine before the first event, keeping the same scheduling API.
  */
 
 #ifndef ISW_SIM_SIMULATION_HH
@@ -35,23 +36,16 @@ class Simulation
 {
   public:
     explicit Simulation(std::uint64_t seed = 1)
-        : root_rng_(seed), next_stream_(0)
+        : engine_(std::make_unique<ShardedEngine>(
+              ShardPlan{1, kUnboundedLookahead, 1})),
+          root_rng_(seed), next_stream_(0)
     {}
 
     Simulation(const Simulation &) = delete;
     Simulation &operator=(const Simulation &) = delete;
 
-    TimeNs now() const
-    {
-        return engine_ ? engine_->now() : events_.now();
-    }
+    TimeNs now() const { return engine_->now(); }
 
-    /**
-     * The serial event queue. Valid only while un-sharded; sharded
-     * simulations must go through at()/after()/cancelEvent() and the
-     * aggregate counters below.
-     */
-    EventQueue &events() { return events_; }
     StatsRegistry &stats() { return stats_; }
     Logger &logger() { return logger_; }
 
@@ -62,7 +56,7 @@ class Simulation
     Rng forkRng() { return root_rng_.fork(next_stream_++); }
 
     /**
-     * Swap the serial queue for a domain-sharded parallel engine.
+     * Swap the one-domain engine for a domain-sharded parallel one.
      * Must be called before any event is scheduled (typically right
      * after topology construction, which schedules nothing). Entities
      * are assigned to domains via net::Node::setDomain(); events
@@ -70,45 +64,38 @@ class Simulation
      */
     void shard(const ShardPlan &plan)
     {
-        if (engine_)
+        if (sharded())
             throw std::logic_error("Simulation: already sharded");
-        if (!events_.empty() || events_.executed() != 0)
+        if (!engine_->empty() || engine_->executed() != 0)
             throw std::logic_error(
                 "Simulation: shard() before scheduling events");
         engine_ = std::make_unique<ShardedEngine>(plan);
     }
 
-    /** Non-null once shard() was called. */
-    ShardedEngine *engine() { return engine_.get(); }
-    bool sharded() const { return engine_ != nullptr; }
+    /** The event engine (one domain until shard()). */
+    ShardedEngine &engine() { return *engine_; }
+    /** True once shard() installed an engine with several domains. */
+    bool sharded() const { return engine_->domains() > 1; }
 
     /** Convenience: schedule relative to now. */
     EventId after(TimeNs delay, EventQueue::Callback cb)
     {
-        if (engine_)
-            return engine_->schedule(engine_->hereOr0(),
-                                     engine_->now() + delay, std::move(cb));
-        return events_.scheduleAfter(delay, std::move(cb));
+        return engine_->after(delay, std::move(cb));
     }
 
     /** Convenience: schedule at absolute time. */
     EventId at(TimeNs when, EventQueue::Callback cb)
     {
-        if (engine_)
-            return engine_->schedule(engine_->hereOr0(), when,
-                                     std::move(cb));
-        return events_.schedule(when, std::move(cb));
+        return engine_->at(when, std::move(cb));
     }
 
     /**
      * Schedule at absolute time into a specific shard domain. On an
-     * un-sharded Simulation the domain is ignored (one queue).
+     * un-sharded Simulation every domain is the one queue.
      */
     EventId atInDomain(DomainId d, TimeNs when, EventQueue::Callback cb)
     {
-        if (engine_)
-            return engine_->schedule(d, when, std::move(cb));
-        return events_.schedule(when, std::move(cb));
+        return engine_->schedule(d, when, std::move(cb));
     }
 
     /**
@@ -119,12 +106,7 @@ class Simulation
      * RetxTimer teardown, deferred acks — must record the scheduling
      * domain (hereDomain() at schedule time) and use cancelEventIn().
      */
-    bool cancelEvent(EventId id)
-    {
-        if (engine_)
-            return engine_->cancelHere(id);
-        return events_.cancel(id);
-    }
+    bool cancelEvent(EventId id) { return engine_->cancelHere(id); }
 
     /**
      * Cancel an event known to have been scheduled in domain @p d.
@@ -134,52 +116,35 @@ class Simulation
      */
     bool cancelEventIn(DomainId d, EventId id)
     {
-        if (engine_)
-            return engine_->cancelIn(d, id);
-        return events_.cancel(id);
+        return engine_->cancelIn(d, id);
     }
 
     /** Domain events scheduled by this thread land in: the executing
      *  domain during a sharded window, 0 otherwise. */
-    DomainId hereDomain() const
-    {
-        return engine_ ? engine_->hereOr0() : 0;
-    }
+    DomainId hereDomain() const { return engine_->hereOr0(); }
 
     /** Run everything (bounded by @p max_events as a runaway guard). */
     std::size_t run(std::size_t max_events = SIZE_MAX)
     {
-        return engine_ ? engine_->runAll(max_events)
-                       : events_.runAll(max_events);
+        return engine_->runAll(max_events);
     }
 
     /** Run until simulated @p deadline. */
     std::size_t runUntil(TimeNs deadline)
     {
-        return engine_ ? engine_->runUntil(deadline)
-                       : events_.runUntil(deadline);
+        return engine_->runUntil(deadline);
     }
 
     /** Events executed so far (aggregated across domains). */
-    std::uint64_t eventsExecuted() const
-    {
-        return engine_ ? engine_->executed() : events_.executed();
-    }
+    std::uint64_t eventsExecuted() const { return engine_->executed(); }
 
     /** Pending events (aggregated across domains + mailboxes). */
-    std::size_t pendingEvents() const
-    {
-        return engine_ ? engine_->pending() : events_.pending();
-    }
+    std::size_t pendingEvents() const { return engine_->pending(); }
 
     /** True when no runnable events remain anywhere. */
-    bool queueEmpty() const
-    {
-        return engine_ ? engine_->empty() : events_.empty();
-    }
+    bool queueEmpty() const { return engine_->empty(); }
 
   private:
-    EventQueue events_;
     std::unique_ptr<ShardedEngine> engine_;
     StatsRegistry stats_;
     Logger logger_;

@@ -277,5 +277,83 @@ TEST(SimulationShard, RejectsDoubleShardAndLateShard)
     EXPECT_THROW(late.shard(ShardPlan{2, 100, 1}), std::logic_error);
 }
 
+TEST(UnshardedSimulation, RunBudgetExecutesExactlyN)
+{
+    // The one-domain engine runs a whole run() call as one unbounded
+    // window, so the runaway guard must cut inside the window.
+    Simulation s{1};
+    std::size_t fired = 0;
+    std::function<void()> chain = [&] {
+        if (++fired < 100)
+            s.after(1, chain);
+    };
+    s.after(0, chain);
+    EXPECT_EQ(s.run(7), 7u);
+    EXPECT_EQ(fired, 7u);
+    EXPECT_EQ(s.eventsExecuted(), 7u);
+    EXPECT_EQ(s.now(), 6u);
+    EXPECT_EQ(s.pendingEvents(), 1u);
+    EXPECT_EQ(s.run(3), 3u);
+    EXPECT_EQ(fired, 10u);
+    EXPECT_EQ(s.run(), 90u);
+}
+
+TEST(UnshardedSimulation, EveryDomainIsTheSingleQueue)
+{
+    Simulation s{1};
+    EXPECT_FALSE(s.sharded());
+    EXPECT_EQ(s.engine().domains(), 1u);
+    std::string order;
+    const EventId dropped = s.atInDomain(7, 20, [&] { order += "x"; });
+    s.atInDomain(3, 10, [&] { order += "a"; });
+    s.at(30, [&] {
+        // Mid-window too: any domain id schedules into and cancels
+        // from the one queue.
+        const EventId id = s.atInDomain(7, 40, [&] { order += "y"; });
+        EXPECT_NE(id, kInvalidEventId);
+        EXPECT_TRUE(s.cancelEventIn(7, id));
+        s.atInDomain(5, 35, [&] { order += "b"; });
+    });
+    EXPECT_NE(dropped, kInvalidEventId);
+    EXPECT_TRUE(s.cancelEventIn(7, dropped));
+    EXPECT_FALSE(s.cancelEventIn(7, dropped));
+    s.run();
+    EXPECT_EQ(order, "ab");
+    EXPECT_EQ(s.now(), 35u);
+}
+
+TEST(UnshardedSimulation, RunUntilParksClockOnDrainedQueue)
+{
+    Simulation s{1};
+    int ran = 0;
+    s.at(30, [&ran] { ++ran; });
+    EXPECT_EQ(s.runUntil(500), 1u);
+    EXPECT_EQ(ran, 1);
+    EXPECT_TRUE(s.queueEmpty());
+    EXPECT_EQ(s.now(), 500u);
+    // Relative scheduling continues from the parked clock.
+    s.after(10, [&] { EXPECT_EQ(s.now(), 510u); });
+    EXPECT_EQ(s.runUntil(505), 0u);
+    EXPECT_EQ(s.now(), 500u); // not drained: the clock stays put
+    EXPECT_EQ(s.runUntil(510), 1u);
+}
+
+TEST(UnshardedSimulation, NestedRunKeepsTheOuterContext)
+{
+    // A Simulation driven from inside another's event must leave the
+    // outer clock and scheduling domain intact when it returns.
+    Simulation outer{1};
+    TimeNs seen = 0;
+    outer.at(100, [&] {
+        Simulation inner{2};
+        inner.at(7, [] {});
+        inner.run();
+        seen = outer.now();
+        outer.after(5, [&] { seen += outer.now(); });
+    });
+    outer.run();
+    EXPECT_EQ(seen, 100u + 105u);
+}
+
 } // namespace
 } // namespace isw::sim
