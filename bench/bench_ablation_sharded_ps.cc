@@ -3,7 +3,8 @@
  * Extension experiment: how much of iSwitch's advantage survives
  * against a *sharded* parameter server (the classic mitigation of the
  * central-link bottleneck the paper identifies in §2.3)? Sweeps the
- * shard count on the DQN and A2C wire sizes.
+ * sync PS's shard count (JobConfig::ps_shards, K = 1 is the paper's
+ * central server) on the DQN and A2C wire sizes.
  */
 
 #include <iostream>
@@ -40,12 +41,12 @@ main(int argc, char **argv)
     bench::printHeader(
         "Ablation — sharded parameter server vs in-switch aggregation");
 
+    const std::size_t shard_counts[] = {1, 2, 4, 8};
     std::vector<harness::ExperimentSpec> specs;
     for (auto algo : {rl::Algo::kDqn, rl::Algo::kA2c}) {
-        specs.push_back(shardSpec(algo, dist::StrategyKind::kSyncPs, 1));
-        for (std::size_t shards : {2u, 4u, 8u})
+        for (std::size_t shards : shard_counts)
             specs.push_back(
-                shardSpec(algo, dist::StrategyKind::kSyncShardedPs, shards));
+                shardSpec(algo, dist::StrategyKind::kSyncPs, shards));
         specs.push_back(shardSpec(algo, dist::StrategyKind::kSyncIswitch, 1));
     }
     bench::prefetch(specs);
@@ -55,11 +56,11 @@ main(int argc, char **argv)
                         " per-iteration time (ms)");
         harness::Table t({"Configuration", "per-iter (ms)", "vs PS"});
         const double ps = periter(algo, dist::StrategyKind::kSyncPs, 1);
-        t.row({"PS (1 server)", harness::fmt(ps, 2), "1.00x"});
-        for (std::size_t shards : {2u, 4u, 8u}) {
+        for (std::size_t shards : shard_counts) {
             const double s =
-                periter(algo, dist::StrategyKind::kSyncShardedPs, shards);
-            t.row({"Sharded PS x" + std::to_string(shards),
+                periter(algo, dist::StrategyKind::kSyncPs, shards);
+            t.row({shards == 1 ? std::string("PS (1 server)")
+                               : "PS x" + std::to_string(shards) + " shards",
                    harness::fmt(s, 2), bench::speedupStr(ps / s)});
         }
         const double isw =

@@ -4,7 +4,9 @@
 Warn-only by design: micro-bench timings on shared CI runners are
 noisy, so ordinary drift only prints a warning. The step fails only on
 a catastrophic (> 2x by default) per-iteration slowdown, which almost
-always means a real regression rather than noise.
+always means a real regression rather than noise. Every fresh Runner
+report is also gated: a run that errored or made zero iterations
+fails the step (the Runner records job errors instead of throwing).
 
 Usage: compare_baselines.py <reports_dir> [--baselines DIR] [--fail-ratio R]
 """
@@ -24,6 +26,31 @@ def load_runs(path):
         for run in doc.get("runs", [])
         if run.get("cpu_time_ns", 0) > 0
     }
+
+
+def check_runner_runs(reports_dir, failures):
+    """Hard gate over every fresh Runner report in @reports_dir.
+
+    Runner::runAll records a job's error in its run instead of
+    throwing, so a bench whose spec errors still exits 0. Every run
+    that carries a "config" (i.e. came from the Runner) must be
+    error-free and have made at least one iteration.
+    """
+    checked = 0
+    for path in sorted(reports_dir.glob("BENCH_*.json")):
+        with open(path) as f:
+            runs = json.load(f).get("runs", [])
+        for r in runs:
+            if "config" not in r:
+                continue
+            name = f"{path.name}:{r.get('name', '?')}"
+            if r.get("error"):
+                failures.append((name, f"errored: {r['error']}"))
+            elif r.get("iterations", 0) <= 0:
+                failures.append((name, "zero iterations"))
+            else:
+                checked += 1
+    print(f"# runner reports: {checked} runs clean")
 
 
 RECOVERY_KEYS = (
@@ -229,6 +256,7 @@ def main():
     failures = []
     compared = 0
 
+    check_runner_runs(args.reports_dir, failures)
     recovery_base = args.baselines / "BENCH_fault_recovery.json"
     recovery_fresh = args.reports_dir / "BENCH_fault_recovery.json"
     if recovery_base.exists():

@@ -60,9 +60,7 @@ ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
                   // Reclaim the leaver's in-flight partials so a
                   // crashed worker can't pin aggregator slots (and
                   // inflate peak occupancy) until round end.
-                  const std::size_t n = accel_.reclaimFrom(m.ip.bits());
-                  if (n != 0)
-                      counters_.reclaimed.inc(n);
+                  accel_.reclaimFrom(m.ip.bits());
               },
           .heartbeat =
               [this](net::Ipv4Addr) {
@@ -71,14 +69,7 @@ ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
               },
           .failover = [this] { adoptFailoverUplink(); },
       }),
-      mac_(net::MacAddr(0x02EE'0000'0000ULL | cfg.ip.bits())),
-      counters_{
-          s.stats().counter("iswitch." + this->name() + ".data_in"),
-          s.stats().counter("iswitch." + this->name() + ".ctrl_in"),
-          s.stats().counter("iswitch." + this->name() + ".segs_done"),
-          s.stats().counter("iswitch." + this->name() + ".nacks"),
-          s.stats().counter("iswitch." + this->name() + ".reclaimed"),
-      }
+      mac_(net::MacAddr(0x02EE'0000'0000ULL | cfg.ip.bits()))
 {
     accel_.setEmit([this](std::uint64_t key, SegState sum) {
         onEmit(key, std::move(sum));
@@ -151,7 +142,6 @@ ProgrammableSwitch::interceptIngress(const net::PacketPtr &pkt,
                 }
             }
             accel_.ingest(pkt);
-            counters_.data_in.inc();
         }
         return true;
       }
@@ -185,7 +175,6 @@ void
 ProgrammableSwitch::onControl(const net::PacketPtr &pkt)
 {
     if (const auto *c = std::get_if<net::ControlPayload>(&pkt->payload)) {
-        counters_.ctrl_in.inc();
         ctrl_.handle(pkt->ip.src, pkt->udp.src_port, *c);
         // HA primary: mirror membership events to the backup so its
         // table (and auto-H) tracks ours. Duplicate Joins mirror too —
@@ -246,7 +235,6 @@ ProgrammableSwitch::pruneCache(std::uint64_t latest_key)
 void
 ProgrammableSwitch::onEmit(std::uint64_t key, SegState sum)
 {
-    counters_.segs_done.inc();
     if (!isRoot()) {
         // Forward the partial aggregate upward as a new contribution.
         net::Packet pkt;
@@ -327,7 +315,6 @@ ProgrammableSwitch::sendNack(std::uint8_t job, std::uint64_t seg,
     msg.action = net::Action::kNack;
     msg.has_value = true;
     msg.value = packSegWord(seg, job);
-    counters_.nacks.inc();
     sendControlTo(*m, msg);
 }
 
@@ -461,9 +448,7 @@ ProgrammableSwitch::onRepl(const net::PacketPtr &pkt)
             refreshThreshold();
         } else if (c->action == net::Action::kLeave) {
             if (ctrl_.table().leave(mip)) {
-                const std::size_t n = accel_.reclaimFrom(mip.bits());
-                if (n != 0)
-                    counters_.reclaimed.inc(n);
+                accel_.reclaimFrom(mip.bits());
                 refreshThreshold();
             }
         }

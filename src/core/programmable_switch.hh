@@ -179,20 +179,6 @@ class ProgrammableSwitch : public net::EthSwitch
     /** Highest segment index seen, per job (cache eviction floors must
      *  not let one job's progress evict another job's entries). */
     std::unordered_map<std::uint8_t, std::uint64_t> max_seg_seen_;
-    /**
-     * Registry counters resolved at construction so the hot path never
-     * concatenates names or mutates the registry map — required once
-     * switches execute on shard-domain threads (sim/shard.hh).
-     */
-    struct HotCounters
-    {
-        sim::Counter &data_in;
-        sim::Counter &ctrl_in;
-        sim::Counter &segs_done;
-        sim::Counter &nacks;
-        sim::Counter &reclaimed;
-    };
-    HotCounters counters_;
 
     // ----- HA state (all roles default to off) -----
     std::unique_ptr<ReplicatedAccelerator> repl_; ///< primary role

@@ -5,6 +5,17 @@
 
 namespace isw::dist {
 
+namespace {
+/** Host and rack indices each fill one address octet: every address
+ *  plan caps such a count at 250. */
+void
+checkOctet(std::size_t count, const char *what)
+{
+    if (count > 250)
+        throw std::invalid_argument(what);
+}
+} // namespace
+
 core::ProgrammableSwitch *
 Cluster::leafOf(std::size_t i) const
 {
@@ -24,12 +35,14 @@ buildStarCluster(sim::Simulation &s, const ClusterConfig &cfg)
         throw std::invalid_argument(
             "buildStarCluster: HA backups require the unbounded "
             "dedicated-switch slot model (accel.num_slots == 0)");
+    checkOctet(cfg.num_workers, "buildStarCluster: too many workers for "
+                                "the 10.0.0.x address plan");
+    const std::size_t shards =
+        cfg.with_ps ? std::max<std::size_t>(cfg.ps_shards, 1) : 0;
+    checkOctet(shards, "buildStarCluster: too many PS shards for the "
+                       "10.0.254.x address plan");
     Cluster c;
     c.topo = std::make_unique<net::Topology>(s);
-    const std::size_t shards = cfg.with_ps ? std::max<std::size_t>(
-                                                 cfg.ps_shards, 1)
-                                           : 0;
-    const std::size_t extra = shards;
     const std::size_t ha_ports = cfg.ha.with_backup ? 1 : 0;
     const std::size_t host_ports = cfg.ha.with_backup ? 2 : 1;
 
@@ -39,7 +52,7 @@ buildStarCluster(sim::Simulation &s, const ClusterConfig &cfg)
     sw_cfg.ip = net::Ipv4Addr(10, 0, 0, 1);
     sw_cfg.udp_port = kSwitchPort;
     auto *sw = c.topo->addSwitch<core::ProgrammableSwitch>(
-        "switch0", cfg.num_workers + extra + ha_ports, sw_cfg);
+        "switch0", cfg.num_workers + shards + ha_ports, sw_cfg);
     c.leaves.push_back(sw);
     c.root = sw;
 
@@ -85,11 +98,10 @@ buildStarCluster(sim::Simulation &s, const ClusterConfig &cfg)
         for (std::size_t k = 0; k < shards; ++k)
             c.topo->connectHostPort(c.ps_shards[k], 1, bk,
                                     cfg.num_workers + k, cfg.edge_link);
-        const std::size_t peer_sw = cfg.num_workers + extra;
-        const std::size_t peer_bk = cfg.num_workers + shards;
+        const std::size_t peer = cfg.num_workers + shards;
         c.primary_links.push_back(
-            c.topo->connectPeers(sw, peer_sw, bk, peer_bk, cfg.edge_link));
-        sw->addRoute(bk->ip(), peer_sw);
+            c.topo->connectPeers(sw, peer, bk, peer, cfg.edge_link));
+        sw->addRoute(bk->ip(), peer);
         sw->enableHaPrimary(bk->ip(), kSwitchPort,
                             {cfg.ha.repl_mode, cfg.ha.staleness_window});
         bk->enableHaBackup(cfg.ha.heartbeat_period, cfg.ha.miss_threshold);
@@ -103,17 +115,19 @@ buildTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
 {
     if (cfg.per_rack == 0)
         throw std::invalid_argument("buildTreeCluster: per_rack == 0");
+    checkOctet(cfg.per_rack, "buildTreeCluster: per_rack exceeds the "
+                             "10.0.rack.x address plan");
     Cluster c;
     c.topo = std::make_unique<net::Topology>(s);
     c.workersPerRack = cfg.per_rack;
     const std::size_t racks =
         (cfg.num_workers + cfg.per_rack - 1) / cfg.per_rack;
+    checkOctet(racks, "buildTreeCluster: too many racks for the "
+                      "10.0.rack.x address plan");
     const std::size_t shards =
         cfg.with_ps ? std::max<std::size_t>(cfg.ps_shards, 1) : 0;
-    if (shards > 250)
-        throw std::invalid_argument(
-            "buildTreeCluster: too many PS shards for the 10.0.254.x "
-            "address plan");
+    checkOctet(shards, "buildTreeCluster: too many PS shards for the "
+                       "10.0.254.x address plan");
     if (cfg.ha.with_backup && cfg.accel.num_slots != 0)
         throw std::invalid_argument(
             "buildTreeCluster: HA backups require the unbounded "
@@ -229,10 +243,8 @@ buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
 {
     if (cfg.per_rack == 0)
         throw std::invalid_argument("buildFatTreeCluster: per_rack == 0");
-    if (cfg.per_rack > 250)
-        throw std::invalid_argument(
-            "buildFatTreeCluster: per_rack exceeds the 10.0.rack.x "
-            "address plan");
+    checkOctet(cfg.per_rack, "buildFatTreeCluster: per_rack exceeds the "
+                             "10.0.rack.x address plan");
     if (cfg.racks_per_pod == 0)
         throw std::invalid_argument(
             "buildFatTreeCluster: racks_per_pod == 0");
@@ -241,18 +253,14 @@ buildFatTreeCluster(sim::Simulation &s, const ClusterConfig &cfg)
     c.workersPerRack = cfg.per_rack;
     const std::size_t racks =
         (cfg.num_workers + cfg.per_rack - 1) / cfg.per_rack;
-    if (racks > 250)
-        throw std::invalid_argument(
-            "buildFatTreeCluster: too many racks for the 10.0.rack.x "
-            "address plan");
+    checkOctet(racks, "buildFatTreeCluster: too many racks for the "
+                      "10.0.rack.x address plan");
     const std::size_t pods =
         (racks + cfg.racks_per_pod - 1) / cfg.racks_per_pod;
     const std::size_t shards =
         cfg.with_ps ? std::max<std::size_t>(cfg.ps_shards, 1) : 0;
-    if (shards > 250)
-        throw std::invalid_argument(
-            "buildFatTreeCluster: too many PS shards for the 10.0.254.x "
-            "address plan");
+    checkOctet(shards, "buildFatTreeCluster: too many PS shards for the "
+                       "10.0.254.x address plan");
     if (cfg.ha.with_backup && cfg.accel.num_slots != 0)
         throw std::invalid_argument(
             "buildFatTreeCluster: HA backups require the unbounded "

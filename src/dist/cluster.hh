@@ -60,7 +60,8 @@ struct ClusterConfig
 {
     std::size_t num_workers = 4;
     bool with_ps = false;              ///< add a parameter-server host
-    /** Parameter-server shard count (>1 = sharded PS, star only). */
+    /** PS hosts when with_ps (every fabric; > 1 = a sharded sync PS).
+     *  Jobs set it from JobConfig::ps_shards. */
     std::size_t ps_shards = 1;
     net::LinkConfig edge_link{};       ///< host <-> switch (10 GbE)
     net::LinkConfig uplink{40e9, 200, 0.0}; ///< ToR <-> parent (tree/fat)

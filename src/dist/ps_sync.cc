@@ -1,21 +1,25 @@
 #include "dist/ps_sync.hh"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace isw::dist {
 
 namespace {
 /**
  * Transfer ids stamp the round so a straggling retransmission from
  * round r can never pollute round r+1's assembler: gradients use
- * (round << kRoundShift) | worker, results set kResultFlag on top.
+ * (round << kRoundShift) | worker, shard results are
+ * (round << kRoundShift) | shard with kResultFlag set.
  */
 constexpr std::uint64_t kRoundShift = 20;
-constexpr std::uint64_t kWorkerMask = (1ULL << kRoundShift) - 1;
+constexpr std::uint64_t kIdMask = (1ULL << kRoundShift) - 1;
 constexpr std::uint64_t kResultFlag = 1ULL << 63;
 
 constexpr std::uint64_t
-gradTid(std::uint64_t round, std::uint64_t worker)
+makeTid(std::uint64_t round, std::uint64_t id)
 {
-    return (round << kRoundShift) | worker;
+    return (round << kRoundShift) | id;
 }
 
 constexpr std::uint64_t
@@ -25,35 +29,56 @@ tidRound(std::uint64_t tid)
 }
 
 constexpr std::uint64_t
-tidWorker(std::uint64_t tid)
+tidId(std::uint64_t tid)
 {
-    return tid & kWorkerMask;
+    return tid & kIdMask;
 }
 } // namespace
 
 SyncPsJob::SyncPsJob(const JobConfig &cfg) : JobBase(cfg)
 {
-    fmt_ = gradientWire(/*iswitch_plane=*/false);
-    ps_rx_.resize(workers_.size());
-    for (auto &rx : ps_rx_)
-        rx.reset(fmt_);
-    for (auto &w : workers_)
-        w.rx.reset(fmt_);
-    ps_rng_ = sim_->forkRng();
-    srv_ppp_ = makePipeline();
-    grad_retx_.resize(workers_.size());
-    result_retx_.resize(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-        configureTimer(grad_retx_[i]);
-        configureTimer(result_retx_[i]);
+    const std::size_t k = cluster_.ps_shards.size();
+    if (k < 1)
+        throw std::logic_error("SyncPsJob: no PS host built");
+
+    // Shard s owns logical floats [n*s/k, n*(s+1)/k) and a word-aligned
+    // 1/k of the wire bytes (the last shard takes the remainder);
+    // forVector raises a share too small for its slice.
+    const WireFormat full = gradientWire(/*iswitch_plane=*/false);
+    const std::uint64_t base_wire = (full.wire_bytes / k) & ~3ULL;
+    shards_.resize(k);
+    for (std::size_t s = 0; s < k; ++s) {
+        Shard &sh = shards_[s];
+        sh.log_begin = full.logical_floats * s / k;
+        sh.log_end = full.logical_floats * (s + 1) / k;
+        sh.fmt = WireFormat::forVector(
+            sh.log_end - sh.log_begin,
+            s + 1 == k ? full.wire_bytes - base_wire * s : base_wire,
+            /*iswitch_plane=*/false, full.precision);
+        sh.rx.assign(workers_.size(), VectorAssembler(sh.fmt));
+        sh.ppp = makePipeline();
+        sh.rng = sim_->forkRng();
     }
+
+    inbox_.resize(workers_.size());
+    for (Inbox &in : inbox_)
+        for (const Shard &sh : shards_)
+            in.slices.emplace_back(sh.fmt);
+    grad_retx_.resize(workers_.size() * k);
+    result_retx_.resize(workers_.size() * k);
+    for (auto &t : grad_retx_)
+        configureTimer(t);
+    for (auto &t : result_retx_)
+        configureTimer(t);
 }
 
 void
 SyncPsJob::start()
 {
-    cluster_.ps->setReceiveHandler(
-        [this](net::PacketPtr pkt) { onPsPacket(pkt); });
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        cluster_.ps_shards[s]->setReceiveHandler(
+            [this, s](net::PacketPtr pkt) { onShardPacket(s, pkt); });
+    }
     for (auto &w : workers_) {
         WorkerCtx *wp = &w;
         w.host->setReceiveHandler(
@@ -70,141 +95,171 @@ SyncPsJob::beginRound(WorkerCtx &w)
         return;
     WorkerCtx *wp = &w;
     scheduleLgc(w, [this, wp] {
-        sim_->after(cfg_.overhead.send, [this, wp] {
+        // Scatter: one message per shard, each charged a send posting.
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
             const std::uint64_t r = wp->round;
-            sendVector(*wp->host, cluster_.ps->ip(), kPsPort, kWorkerPort,
-                       /*tos=*/0, gradTid(r, wp->index), wp->pending_grad,
-                       fmt_, /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                       wp->ppp.get());
-            // Guard the uplink transfer: on timeout, re-send whatever
-            // the server's assembler is still missing (the ack channel
-            // is modeled as free; data resends pay full wire cost).
-            grad_retx_[wp->index].arm([this, wp, r]() -> std::size_t {
-                if (stopped())
-                    return 0;
-                // The server's assembler lives in its own domain, so
-                // the timer probes it there and the resend hops back
-                // to the worker's domain. The timer stays armed
-                // (return 1) until the server's completion defers a
-                // done() to this domain.
-                inDomainOf(cluster_.ps, [this, wp, r] {
-                    if (stopped() || srv_round_ != r)
-                        return;
-                    std::vector<std::uint64_t> missing =
-                        ps_rx_[wp->index].missingSegments();
-                    if (missing.empty())
-                        return;
-                    inDomainOf(wp->host, [this, wp, r,
-                                          missing = std::move(missing)] {
-                        if (stopped() || wp->round != r)
-                            return;
-                        for (std::uint64_t seg : missing) {
-                            sendVectorSegment(
-                                *wp->host, cluster_.ps->ip(), kPsPort,
-                                kWorkerPort, /*tos=*/0,
-                                gradTid(r, wp->index), wp->pending_grad,
-                                fmt_, seg, /*seg_base=*/0, /*job=*/0,
-                                /*ver_quota=*/0, wp->ppp.get());
-                            ++recovery_.retransmits;
-                        }
+            sim_->after(cfg_.overhead.send * (s + 1), [this, wp, s, r] {
+                const Shard &sh = shards_[s];
+                const std::span<const float> slice(
+                    wp->pending_grad.data() + sh.log_begin,
+                    sh.log_end - sh.log_begin);
+                sendVector(*wp->host, cluster_.ps_shards[s]->ip(),
+                           kPsPort, kWorkerPort, /*tos=*/0,
+                           makeTid(r, wp->index), slice, sh.fmt,
+                           /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
+                           wp->ppp.get());
+                // Guard this slice (the ack channel is modeled as free;
+                // data resends pay full wire cost).
+                grad_retx_[wp->index * shards_.size() + s].arm(
+                    [this, wp, s, r]() -> std::size_t {
+                        if (stopped())
+                            return 0;
+                        // The shard's assembler lives in its own
+                        // domain, so the timer probes it there and the
+                        // resend hops back to the worker's domain. The
+                        // timer stays armed (return 1) until the
+                        // shard's completion defers a done() here.
+                        inDomainOf(cluster_.ps_shards[s],
+                                   [this, wp, s, r] {
+                            if (stopped() || shards_[s].round != r)
+                                return;
+                            std::vector<std::uint64_t> missing =
+                                shards_[s].rx[wp->index].missingSegments();
+                            if (missing.empty())
+                                return;
+                            inDomainOf(wp->host,
+                                       [this, wp, s, r,
+                                        missing = std::move(missing)] {
+                                if (stopped() || wp->round != r)
+                                    return;
+                                const Shard &sh = shards_[s];
+                                for (std::uint64_t seg : missing) {
+                                    sendVectorSegment(
+                                        *wp->host,
+                                        cluster_.ps_shards[s]->ip(),
+                                        kPsPort, kWorkerPort, /*tos=*/0,
+                                        makeTid(r, wp->index),
+                                        std::span<const float>(
+                                            wp->pending_grad.data() +
+                                                sh.log_begin,
+                                            sh.log_end - sh.log_begin),
+                                        sh.fmt, seg, /*seg_base=*/0,
+                                        /*job=*/0, /*ver_quota=*/0,
+                                        wp->ppp.get());
+                                    ++recovery_.retransmits;
+                                }
+                            });
+                        });
+                        return 1;
                     });
-                });
-                return 1;
             });
-        });
+        }
     });
 }
 
 void
-SyncPsJob::onPsPacket(const net::PacketPtr &pkt)
+SyncPsJob::onShardPacket(std::size_t shard, const net::PacketPtr &pkt)
 {
     const auto *chunk = std::get_if<net::ChunkPayload>(&pkt->payload);
     if (chunk == nullptr || (chunk->transfer_id & kResultFlag) != 0)
         return;
-    const std::uint64_t widx = tidWorker(chunk->transfer_id);
-    if (widx >= ps_rx_.size() || tidRound(chunk->transfer_id) != srv_round_)
+    Shard &sh = shards_[shard];
+    const std::uint64_t widx = tidId(chunk->transfer_id);
+    if (widx >= workers_.size() ||
+        tidRound(chunk->transfer_id) != sh.round)
         return; // stale round (late retransmission): drop
-    if (ps_rx_[widx].offer(*chunk)) {
+    if (sh.rx[widx].offer(*chunk)) {
         // The timer lives in the worker's domain; done() hops there.
-        deferDone(grad_retx_[widx], workers_[widx].host);
-        if (++ps_received_ == workers_.size())
-            serverAggregate();
+        deferDone(grad_retx_[widx * shards_.size() + shard],
+                  workers_[widx].host);
+        if (++sh.received == workers_.size())
+            shardAggregate(shard);
     }
 }
 
 void
-SyncPsJob::serverAggregate()
+SyncPsJob::shardAggregate(std::size_t shard)
 {
-    // Conventional aggregation (Figure 8a): all vectors are resident
+    // Conventional aggregation (Figure 8a): all slices are resident
     // before the summation starts.
-    ps_sum_.assign(fmt_.logical_floats, 0.0f);
-    for (const auto &rx : ps_rx_) {
+    Shard &sh = shards_[shard];
+    sh.sum.assign(sh.fmt.logical_floats, 0.0f);
+    for (const auto &rx : sh.rx) {
         const auto &v = rx.vector();
-        for (std::size_t i = 0; i < ps_sum_.size(); ++i)
-            ps_sum_[i] += v[i];
+        for (std::size_t i = 0; i < sh.sum.size(); ++i)
+            sh.sum[i] += v[i];
     }
-    const double sum_bytes = static_cast<double>(fmt_.wire_bytes) *
+    const double sum_bytes = static_cast<double>(sh.fmt.wire_bytes) *
                              static_cast<double>(workers_.size());
     const auto sum_time = static_cast<sim::TimeNs>(
         sum_bytes / cfg_.ps_sum_bytes_per_sec * 1e9);
-    last_server_wu_ =
-        cfg_.profile.sample(IterComponent::kWeightUpdate, ps_rng_);
+    // Every shard performs its slice of the weight update; slices run
+    // in parallel so the visible update cost is one shard's share.
+    sh.wu = cfg_.profile.sample(IterComponent::kWeightUpdate, sh.rng) /
+            shards_.size();
 
     // Reset reception state for the next round before replies go out.
-    for (auto &rx : ps_rx_)
+    for (auto &rx : sh.rx)
         rx.reset();
-    ps_received_ = 0;
-    const std::uint64_t round = srv_round_++;
+    sh.received = 0;
+    const std::uint64_t round = sh.round++;
 
-    sim_->after(cfg_.overhead.recv + sum_time + last_server_wu_,
-                [this, round] {
-        // Unicast the aggregate to every worker; each message costs a
-        // send posting, and all share the server's single link.
+    sim_->after(cfg_.overhead.recv + sum_time + sh.wu,
+                [this, shard, round] {
+        // Unicast the slice to every worker; each message costs a send
+        // posting, and all share the shard's single link.
         for (std::size_t i = 0; i < workers_.size(); ++i) {
             WorkerCtx *wp = &workers_[i];
-            sim_->after(cfg_.overhead.send * (i + 1), [this, wp, round] {
+            sim_->after(cfg_.overhead.send * (i + 1),
+                        [this, shard, wp, round] {
                 const std::uint64_t tid =
-                    kResultFlag | gradTid(round, wp->index);
-                sendVector(*cluster_.ps, wp->host->ip(), kWorkerPort,
-                           kPsPort, /*tos=*/0, tid, ps_sum_, fmt_,
-                           /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                           srv_ppp_.get());
-                // Guard the downlink transfer; ps_sum_ is stable until
-                // every worker finished this round.
-                result_retx_[wp->index].arm([this, wp, tid,
-                                             round]() -> std::size_t {
-                    if (stopped())
-                        return 0;
-                    // Probe the worker's assembler in its own domain,
-                    // then resend from the server's domain. srv_round_
-                    // guards ps_sum_ liveness: once the next aggregate
-                    // overwrites it, stale resends are pointless (the
-                    // receiver would drop them by round anyway).
-                    inDomainOf(wp->host, [this, wp, tid, round] {
-                        if (stopped() || wp->round != round)
-                            return;
-                        std::vector<std::uint64_t> missing =
-                            wp->rx.missingSegments();
-                        if (missing.empty())
-                            return;
-                        inDomainOf(cluster_.ps,
-                                   [this, wp, tid, round,
-                                    missing = std::move(missing)] {
-                            if (stopped() || srv_round_ != round + 1)
+                    kResultFlag | makeTid(round, shard);
+                Shard &sh = shards_[shard];
+                sendVector(*cluster_.ps_shards[shard], wp->host->ip(),
+                           kWorkerPort, kPsPort, /*tos=*/0, tid, sh.sum,
+                           sh.fmt, /*seg_base=*/0, /*job=*/0,
+                           /*ver_quota=*/0, sh.ppp.get());
+                // Guard the result slice; sh.sum is stable until every
+                // worker finished this round (a worker missing this
+                // slice cannot have scattered the next round's slice).
+                result_retx_[wp->index * shards_.size() + shard].arm(
+                    [this, shard, wp, tid, round]() -> std::size_t {
+                        if (stopped())
+                            return 0;
+                        // Probe the worker's assembler in its domain,
+                        // then resend from the shard's domain. The
+                        // round guard on the shard side keeps stale
+                        // resends off a recycled sum.
+                        inDomainOf(wp->host, [this, shard, wp, tid,
+                                              round] {
+                            if (stopped() || wp->round != round)
                                 return;
-                            for (std::uint64_t seg : missing) {
-                                sendVectorSegment(
-                                    *cluster_.ps, wp->host->ip(),
-                                    kWorkerPort, kPsPort, /*tos=*/0, tid,
-                                    ps_sum_, fmt_, seg, /*seg_base=*/0,
-                                    /*job=*/0, /*ver_quota=*/0,
-                                    srv_ppp_.get());
-                                ++recovery_.retransmits;
-                            }
+                            std::vector<std::uint64_t> missing =
+                                inbox_[wp->index]
+                                    .slices[shard]
+                                    .missingSegments();
+                            if (missing.empty())
+                                return;
+                            inDomainOf(cluster_.ps_shards[shard],
+                                       [this, shard, wp, tid, round,
+                                        missing = std::move(missing)] {
+                                Shard &sh = shards_[shard];
+                                if (stopped() || sh.round != round + 1)
+                                    return;
+                                for (std::uint64_t seg : missing) {
+                                    sendVectorSegment(
+                                        *cluster_.ps_shards[shard],
+                                        wp->host->ip(), kWorkerPort,
+                                        kPsPort, /*tos=*/0, tid, sh.sum,
+                                        sh.fmt, seg, /*seg_base=*/0,
+                                        /*job=*/0, /*ver_quota=*/0,
+                                        sh.ppp.get());
+                                    ++recovery_.retransmits;
+                                }
+                            });
                         });
+                        return 1;
                     });
-                    return 1;
-                });
             });
         }
     });
@@ -218,32 +273,51 @@ SyncPsJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
     const auto *chunk = std::get_if<net::ChunkPayload>(&pkt->payload);
     if (chunk == nullptr || (chunk->transfer_id & kResultFlag) == 0)
         return;
-    if (tidWorker(chunk->transfer_id) != w.index ||
+    const auto shard = static_cast<std::size_t>(tidId(chunk->transfer_id));
+    if (shard >= shards_.size() ||
         tidRound(chunk->transfer_id) != w.round)
-        return; // stale round or misrouted: drop
-    if (w.rx.offer(*chunk)) {
-        // The timer was armed in the server's domain; done() hops there.
-        deferDone(result_retx_[w.index], cluster_.ps);
-        onWeightsComplete(w);
+        return; // stale round (late retransmission): drop
+    Inbox &in = inbox_[w.index];
+    if (in.slices[shard].offer(*chunk)) {
+        // The timer lives in the shard's domain; done() hops there.
+        deferDone(result_retx_[w.index * shards_.size() + shard],
+                  cluster_.ps_shards[shard]);
+        if (++in.done == shards_.size())
+            onSlicesComplete(w);
     }
 }
 
 void
-SyncPsJob::onWeightsComplete(WorkerCtx &w)
+SyncPsJob::onSlicesComplete(WorkerCtx &w)
 {
     WorkerCtx *wp = &w;
     sim_->after(cfg_.overhead.recv, [this, wp] {
         WorkerCtx &w = *wp;
+        // Stitch the K slices into the full aggregated gradient.
+        Inbox &in = inbox_[w.index];
+        in.agg.resize(gradientWire(false).logical_floats);
+        sim::TimeNs server_wu = 0;
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+            const auto &v = in.slices[s].vector();
+            std::copy(v.begin(), v.end(),
+                      in.agg.begin() +
+                          static_cast<std::ptrdiff_t>(shards_[s].log_begin));
+            in.slices[s].reset();
+            // The round's critical path is the slowest shard's update.
+            // Each shard's wu is safely readable here: a shard cannot
+            // recycle it for round r+1 until this worker (among all)
+            // scatters r+1.
+            server_wu = std::max(server_wu, shards_[s].wu);
+        }
+        in.done = 0;
+
         // The server's update time is part of the round but is weight
         // update, not aggregation; split the charges accordingly.
         const sim::TimeNs elapsed = sim_->now() - w.lgc_end;
-        const sim::TimeNs agg =
-            elapsed > last_server_wu_ ? elapsed - last_server_wu_ : 0;
-        chargeAggregation(w, agg);
-        w.metrics.add(IterComponent::kWeightUpdate, last_server_wu_);
+        chargeAggregation(w, elapsed > server_wu ? elapsed - server_wu : 0);
+        w.metrics.add(IterComponent::kWeightUpdate, server_wu);
         w.agent->applyAggregatedGradient(
-            w.rx.vector(), static_cast<std::uint32_t>(workers_.size()));
-        w.rx.reset();
+            in.agg, static_cast<std::uint32_t>(workers_.size()));
         ++w.round;
         if (w.index == 0)
             noteGlobalIteration();

@@ -1,11 +1,17 @@
 /**
  * @file
  * Synchronous parameter-server training (paper Figure 1a), the PS
- * baseline: workers unicast full gradient vectors to a central server;
- * the server waits for *complete* vectors from every worker before
- * summing (conventional aggregation, Figure 8a), performs the weight
- * update, and unicasts the result back to each worker over its single
- * link — the central bottleneck the paper measures.
+ * baseline, served by K shards (JobConfig::ps_shards, default 1).
+ *
+ * Workers scatter their gradient to the shards, each of which owns
+ * 1/K of the parameter vector. A shard waits for *complete* slices
+ * from every worker before summing (conventional aggregation, Figure
+ * 8a), performs its share of the weight update, and unicasts the
+ * summed slice back to each worker. At K = 1 this is the paper's
+ * central server, whose single link is the bottleneck the paper
+ * measures (§2.3). K > 1 is the classic systems mitigation: K links
+ * drain the aggregate in parallel at the cost of K x N messages per
+ * round (`bench_ablation_sharded_ps` sweeps K).
  *
  * Logically the server returns the aggregated gradient and workers run
  * identical local optimizer replicas; this is mathematically the same
@@ -32,25 +38,44 @@ class SyncPsJob : public JobBase
     void start() override;
 
   private:
-    void beginRound(WorkerCtx &w);
-    void onPsPacket(const net::PacketPtr &pkt);
-    void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
-    void serverAggregate();
-    void onWeightsComplete(WorkerCtx &w);
+    /** One server shard: its slice of the vector and its state. */
+    struct Shard
+    {
+        std::uint64_t log_begin = 0; ///< logical extent of the slice
+        std::uint64_t log_end = 0;
+        WireFormat fmt;
+        std::vector<VectorAssembler> rx; ///< one per worker
+        std::size_t received = 0;
+        std::uint64_t round = 0; ///< round this shard is collecting
+        ml::Vec sum;
+        /** The shard's pipeline stage for result sends (per shard:
+         *  partitioned fabrics run shards on domain threads). */
+        std::unique_ptr<PrePostProcessor> ppp;
+        /** Each shard samples its own rng fork and publishes its
+         *  round's weight-update share in `wu` (single writer); workers
+         *  take the max across shards when splitting the round. */
+        sim::Rng rng;
+        sim::TimeNs wu = 0;
+    };
 
-    WireFormat fmt_;
-    std::vector<VectorAssembler> ps_rx_; ///< per-worker gradient streams
-    std::size_t ps_received_ = 0;
-    std::uint64_t srv_round_ = 0; ///< round the server is collecting
-    ml::Vec ps_sum_;
-    sim::TimeNs last_server_wu_ = 0;
-    sim::Rng ps_rng_;
-    /** The server's own pipeline stage for result sends (workers use
-     *  their per-WorkerCtx processors; endpoint strategies pick each
-     *  chunk's exponent from the data, headroom 1). */
-    std::unique_ptr<PrePostProcessor> srv_ppp_;
-    /** Per-worker loss-recovery timers (uplink / downlink). Deque:
-     *  RetxTimer is address-pinned (its pending event captures this). */
+    /** A worker's view of the round's results, one slice per shard. */
+    struct Inbox
+    {
+        std::vector<VectorAssembler> slices;
+        std::size_t done = 0; ///< completed slices this round
+        ml::Vec agg;          ///< the stitched aggregate
+    };
+
+    void beginRound(WorkerCtx &w);
+    void onShardPacket(std::size_t shard, const net::PacketPtr &pkt);
+    void shardAggregate(std::size_t shard);
+    void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
+    void onSlicesComplete(WorkerCtx &w);
+
+    std::vector<Shard> shards_;
+    std::vector<Inbox> inbox_; ///< per worker
+    /** Loss-recovery timers, flattened worker * K + shard (deque:
+     *  RetxTimer is address-pinned by its pending event). */
     std::deque<RetxTimer> grad_retx_;
     std::deque<RetxTimer> result_retx_;
 };

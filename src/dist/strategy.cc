@@ -7,7 +7,6 @@
 #include "dist/iswitch_async.hh"
 #include "dist/iswitch_sync.hh"
 #include "dist/ps_async.hh"
-#include "dist/ps_sharded.hh"
 #include "dist/ps_sync.hh"
 #include "net/packet_pool.hh"
 
@@ -22,7 +21,6 @@ strategyName(StrategyKind k)
       case StrategyKind::kSyncIswitch: return "iSW";
       case StrategyKind::kAsyncPs: return "Async PS";
       case StrategyKind::kAsyncIswitch: return "Async iSW";
-      case StrategyKind::kSyncShardedPs: return "Sharded PS";
     }
     return "?";
 }
@@ -65,11 +63,9 @@ JobBase::JobBase(const JobConfig &cfg) : cfg_(cfg)
     ClusterConfig ccfg = cfg_.cluster;
     ccfg.num_workers = cfg_.num_workers;
     ccfg.with_ps = cfg_.strategy == StrategyKind::kSyncPs ||
-                   cfg_.strategy == StrategyKind::kAsyncPs ||
-                   cfg_.strategy == StrategyKind::kSyncShardedPs;
-    ccfg.ps_shards = cfg_.strategy == StrategyKind::kSyncShardedPs
-                         ? std::max<std::size_t>(cfg_.ps_shards, 1)
-                         : 1;
+                   cfg_.strategy == StrategyKind::kAsyncPs;
+    ccfg.ps_shards =
+        cfg_.strategy == StrategyKind::kSyncPs ? cfg_.ps_shards : 1;
     cluster_ = cfg_.use_fat_tree ? buildFatTreeCluster(*sim_, ccfg)
                : cfg_.use_tree   ? buildTreeCluster(*sim_, ccfg)
                                  : buildStarCluster(*sim_, ccfg);
@@ -754,8 +750,6 @@ makeJob(const JobConfig &cfg)
         return std::make_unique<AsyncPsJob>(cfg);
       case StrategyKind::kAsyncIswitch:
         return std::make_unique<AsyncIswitchJob>(cfg);
-      case StrategyKind::kSyncShardedPs:
-        return std::make_unique<SyncShardedPsJob>(cfg);
     }
     throw std::logic_error("makeJob: unknown strategy");
 }

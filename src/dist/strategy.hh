@@ -39,8 +39,6 @@ enum class StrategyKind {
     kSyncIswitch,
     kAsyncPs,
     kAsyncIswitch,
-    /** Extension baseline (not in the paper): K-way sharded sync PS. */
-    kSyncShardedPs,
 };
 
 /** Printable strategy name (paper notation: PS/AR/iSW/...). */
@@ -125,8 +123,12 @@ struct JobConfig
     std::uint64_t seed = 1;
     /** Algorithm 1's staleness bound S (async strategies). */
     std::uint32_t staleness_bound = 3;
-    /** Shard count for the sharded-PS extension baseline. */
-    std::size_t ps_shards = 4;
+    /**
+     * Server shards of the sync PS (kSyncPs only). 1 is the paper's
+     * central server; K > 1 splits the vector over K PS hosts, each
+     * summing and returning 1/K of it (DESIGN.md §15).
+     */
+    std::size_t ps_shards = 1;
     /**
      * Async iSwitch aggregation threshold H (the SetH knob, Table 2).
      * 0 = the paper default: H tracks the number of workers. Smaller

@@ -4,7 +4,7 @@
  * machine-readable reports.
  *
  * Every `isw::sim::Simulation` is a fully self-contained world (clock,
- * event queue, RNG, stats, logger), so independent runs are
+ * event queue, RNG, logger), so independent runs are
  * embarrassingly parallel. The Runner exploits that: bench binaries
  * declare a batch of ExperimentSpecs, the Runner executes each spec's
  * Job in its own Simulation on a thread pool (`--jobs N` /
@@ -114,7 +114,9 @@ class Runner
     /**
      * Execute a batch on the thread pool. Returns one result per
      * input spec, in spec order, duplicates and already-cached specs
-     * served from the memo. Throws the first job error, if any.
+     * served from the memo. Never throws on a job failure: a job that
+     * throws or errors comes back with RunResult::error set (and lands
+     * in the report's "error" field).
      */
     std::vector<dist::RunResult> runAll(
         const std::vector<ExperimentSpec> &specs);

@@ -6,9 +6,7 @@ namespace isw::net {
 
 EthSwitch::EthSwitch(sim::Simulation &s, std::string name,
                      std::size_t num_ports, SwitchConfig cfg)
-    : Node(s, std::move(name), num_ports), cfg_(cfg),
-      no_route_counter_(
-          s.stats().counter("switch." + this->name() + ".no_route"))
+    : Node(s, std::move(name), num_ports), cfg_(cfg)
 {
 }
 
@@ -43,7 +41,6 @@ EthSwitch::forward(PacketPtr pkt)
     auto port = routeFor(pkt->ip.dst);
     if (!port) {
         ++no_route_;
-        no_route_counter_.inc();
         return;
     }
     ++forwarded_;

@@ -16,7 +16,6 @@
 #include <unordered_map>
 
 #include "net/node.hh"
-#include "sim/stats.hh"
 
 namespace isw::net {
 
@@ -72,12 +71,6 @@ class EthSwitch : public Node
     std::optional<std::size_t> default_port_;
     std::uint64_t forwarded_ = 0;
     std::uint64_t no_route_ = 0;
-    /**
-     * Registry counter resolved at construction: the registry's map
-     * must not be mutated from domain threads mid-run (sim/shard.hh),
-     * and the name concatenation is off the hot path this way too.
-     */
-    sim::Counter &no_route_counter_;
 };
 
 } // namespace isw::net

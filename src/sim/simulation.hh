@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation context: clock + event queue + RNG + stats + logger.
+ * Simulation context: clock + event queue + RNG + logger.
  *
  * Every simulated entity (link, switch, worker, ...) holds a reference
  * to one Simulation and interacts with the world exclusively through
@@ -22,7 +22,6 @@
 #include "sim/log.hh"
 #include "sim/random.hh"
 #include "sim/shard.hh"
-#include "sim/stats.hh"
 #include "sim/time.hh"
 
 namespace isw::sim {
@@ -46,7 +45,6 @@ class Simulation
 
     TimeNs now() const { return engine_->now(); }
 
-    StatsRegistry &stats() { return stats_; }
     Logger &logger() { return logger_; }
 
     /** Root RNG. Prefer forkRng() for per-entity streams. */
@@ -146,7 +144,6 @@ class Simulation
 
   private:
     std::unique_ptr<ShardedEngine> engine_;
-    StatsRegistry stats_;
     Logger logger_;
     Rng root_rng_;
     std::uint64_t next_stream_;

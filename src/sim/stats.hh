@@ -1,10 +1,8 @@
 /**
  * @file
- * Lightweight statistics primitives and a named registry.
- *
- * Entities record counters, value accumulators (Welford mean/variance),
- * fixed-bin histograms, and (time, value) series. The registry is used
- * by the experiment harness to dump results as tables or CSV.
+ * Lightweight statistics primitives: counters, value accumulators
+ * (Welford mean/variance), fixed-bin histograms, and (time, value)
+ * series such as reward curves.
  */
 
 #ifndef ISW_SIM_STATS_HH
@@ -14,8 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "sim/time.hh"
@@ -101,38 +97,6 @@ class TimeSeries
 
   private:
     std::vector<Point> points_;
-};
-
-/**
- * Name-keyed collection of statistics owned by a Simulation.
- *
- * Lookup creates on first use, so call sites stay one-liners:
- *   sim.stats().counter("switch.pkts_aggregated").inc();
- */
-class StatsRegistry
-{
-  public:
-    Counter &counter(const std::string &name) { return counters_[name]; }
-    Accumulator &accumulator(const std::string &name) { return accs_[name]; }
-    TimeSeries &series(const std::string &name) { return series_[name]; }
-
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Accumulator> &accumulators() const
-    {
-        return accs_;
-    }
-    const std::map<std::string, TimeSeries> &allSeries() const
-    {
-        return series_;
-    }
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Accumulator> accs_;
-    std::map<std::string, TimeSeries> series_;
 };
 
 } // namespace isw::sim

@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "dist/strategy.hh"
+#include "matrix_cells.hh"
 
 namespace isw::dist {
 namespace {
@@ -23,6 +24,14 @@ chaosConfig(StrategyKind k, std::uint64_t iters = 6)
     cfg.wire_model_bytes = 0; // actual model size: fast tests
     cfg.stop.max_iterations = iters;
     cfg.curve_every = 4;
+    return cfg;
+}
+
+JobConfig
+chaosConfig(MatrixCell c)
+{
+    JobConfig cfg = chaosConfig(strategyOf(c));
+    cfg.ps_shards = psShardsOf(c);
     return cfg;
 }
 
@@ -80,7 +89,7 @@ expectSurvives(const JobConfig &faulty, const Baseline &base)
             << strategyName(cfg.strategy) << " weight " << i;
 }
 
-class ChaosMatrix : public ::testing::TestWithParam<StrategyKind>
+class ChaosMatrix : public ::testing::TestWithParam<MatrixCell>
 {
 };
 
@@ -117,23 +126,7 @@ TEST_P(ChaosMatrix, SurvivesSilentCrashAndRejoin)
     expectSurvives(crashy, base);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, ChaosMatrix,
-    ::testing::Values(StrategyKind::kSyncPs, StrategyKind::kSyncAllReduce,
-                      StrategyKind::kSyncIswitch,
-                      StrategyKind::kSyncShardedPs, StrategyKind::kAsyncPs,
-                      StrategyKind::kAsyncIswitch),
-    [](const auto &info) {
-        switch (info.param) {
-          case StrategyKind::kSyncPs: return "SyncPs";
-          case StrategyKind::kSyncAllReduce: return "SyncAr";
-          case StrategyKind::kSyncIswitch: return "SyncIsw";
-          case StrategyKind::kSyncShardedPs: return "ShardedPs";
-          case StrategyKind::kAsyncPs: return "AsyncPs";
-          case StrategyKind::kAsyncIswitch: return "AsyncIsw";
-        }
-        return "?";
-    });
+INSTANTIATE_TEST_SUITE_P(AllStrategies, ChaosMatrix, allCells(), cellName);
 
 TEST(ChaosCounters, BurstyLossTripsTheRecoveryPath)
 {

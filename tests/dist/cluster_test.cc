@@ -238,5 +238,43 @@ TEST(FatTreeCluster, RejectsBadShapes)
     EXPECT_THROW(buildFatTreeCluster(s, cfg), std::invalid_argument);
 }
 
+// The star and tree address plans give each host or rack index one
+// octet, like the fat-tree's: past 250 they would hand out duplicate
+// (and switch-owned) IPs, so the builders must refuse.
+
+TEST(StarCluster, RejectsWorkersBeyondTheAddressPlan)
+{
+    sim::Simulation s{1};
+    ClusterConfig cfg;
+    cfg.num_workers = 251;
+    EXPECT_THROW(buildStarCluster(s, cfg), std::invalid_argument);
+}
+
+TEST(StarCluster, RejectsPsShardsBeyondTheAddressPlan)
+{
+    sim::Simulation s{1};
+    ClusterConfig cfg;
+    cfg.with_ps = true;
+    cfg.ps_shards = 251;
+    EXPECT_THROW(buildStarCluster(s, cfg), std::invalid_argument);
+}
+
+TEST(TreeCluster, RejectsPerRackBeyondTheAddressPlan)
+{
+    sim::Simulation s{1};
+    ClusterConfig cfg;
+    cfg.per_rack = 251;
+    EXPECT_THROW(buildTreeCluster(s, cfg), std::invalid_argument);
+}
+
+TEST(TreeCluster, RejectsRacksBeyondTheAddressPlan)
+{
+    sim::Simulation s{1};
+    ClusterConfig cfg;
+    cfg.per_rack = 1;
+    cfg.num_workers = 251; // 251 racks
+    EXPECT_THROW(buildTreeCluster(s, cfg), std::invalid_argument);
+}
+
 } // namespace
 } // namespace isw::dist

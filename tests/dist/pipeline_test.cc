@@ -12,6 +12,7 @@
 #include "dist/pipeline.hh"
 #include "dist/strategy.hh"
 #include "dist/transport.hh"
+#include "matrix_cells.hh"
 #include "ml/quantize.hh"
 #include "sim/random.hh"
 
@@ -193,7 +194,7 @@ TEST(PipelineInt32, TooSmallForcedExponentCountsValueClamps)
 
 /** Every strategy must finish a short run at every precision; the
  *  quant counters appear iff the wire is actually quantized. */
-class PipelineMatrix : public ::testing::TestWithParam<StrategyKind>
+class PipelineMatrix : public ::testing::TestWithParam<MatrixCell>
 {
 };
 
@@ -201,14 +202,16 @@ TEST_P(PipelineMatrix, AllPrecisionsTrainToCompletion)
 {
     for (auto prec : {net::Precision::kFp32, net::Precision::kFp16,
                       net::Precision::kInt32}) {
-        JobConfig cfg = JobConfig::forBenchmark(rl::Algo::kPpo, GetParam(), 4);
+        JobConfig cfg = JobConfig::forBenchmark(
+            rl::Algo::kPpo, strategyOf(GetParam()), 4);
+        cfg.ps_shards = psShardsOf(GetParam());
         cfg.wire_model_bytes = 0; // actual model size: fast tests
         cfg.stop.max_iterations = 4;
         cfg.curve_every = 4;
         cfg.precision = prec;
         const RunResult res = runJob(cfg);
         ASSERT_TRUE(res.ok())
-            << strategyName(GetParam()) << "/" << net::precisionName(prec)
+            << strategyName(cfg.strategy) << "/" << net::precisionName(prec)
             << ": " << res.error;
         EXPECT_GE(res.iterations, 4u);
         if (prec == net::Precision::kFp32) {
@@ -217,15 +220,15 @@ TEST_P(PipelineMatrix, AllPrecisionsTrainToCompletion)
             EXPECT_EQ(res.extras.count("quant_value_clamps"), 0u);
         } else {
             ASSERT_TRUE(res.extras.count("pipeline_segments"))
-                << strategyName(GetParam()) << "/"
+                << strategyName(cfg.strategy) << "/"
                 << net::precisionName(prec);
             EXPECT_GT(res.extras.at("pipeline_segments"), 0.0);
             EXPECT_TRUE(res.extras.count("quant_value_clamps"));
             EXPECT_TRUE(res.extras.count("quant_exp_clamps"));
         }
         if (prec == net::Precision::kInt32 &&
-            (GetParam() == StrategyKind::kSyncIswitch ||
-             GetParam() == StrategyKind::kAsyncIswitch)) {
+            (cfg.strategy == StrategyKind::kSyncIswitch ||
+             cfg.strategy == StrategyKind::kAsyncIswitch)) {
             // Switch-side exactness counters ride along on int32.
             EXPECT_TRUE(res.extras.count("switch_overflow_clamps"));
             EXPECT_TRUE(res.extras.count("switch_exp_rescales"));
@@ -233,23 +236,8 @@ TEST_P(PipelineMatrix, AllPrecisionsTrainToCompletion)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, PipelineMatrix,
-    ::testing::Values(StrategyKind::kSyncPs, StrategyKind::kSyncAllReduce,
-                      StrategyKind::kSyncIswitch,
-                      StrategyKind::kSyncShardedPs, StrategyKind::kAsyncPs,
-                      StrategyKind::kAsyncIswitch),
-    [](const auto &info) {
-        switch (info.param) {
-          case StrategyKind::kSyncPs: return "SyncPs";
-          case StrategyKind::kSyncAllReduce: return "SyncAr";
-          case StrategyKind::kSyncIswitch: return "SyncIsw";
-          case StrategyKind::kSyncShardedPs: return "ShardedPs";
-          case StrategyKind::kAsyncPs: return "AsyncPs";
-          case StrategyKind::kAsyncIswitch: return "AsyncIsw";
-        }
-        return "?";
-    });
+INSTANTIATE_TEST_SUITE_P(AllStrategies, PipelineMatrix, allCells(),
+                         cellName);
 
 TEST(PipelineWire, Fp16HalvesThePaperWireModel)
 {

@@ -9,6 +9,7 @@
 
 #include "dist/strategy.hh"
 #include "harness/runner.hh"
+#include "matrix_cells.hh"
 
 namespace isw::dist {
 namespace {
@@ -25,6 +26,14 @@ shardedChaosConfig(StrategyKind k, std::size_t workers = 6,
     cfg.stop.max_sim_time = 120 * sim::kSec; // fault-recovery safety net
     cfg.curve_every = 3;
     cfg.seed = 23;
+    return cfg;
+}
+
+JobConfig
+shardedChaosConfig(MatrixCell c)
+{
+    JobConfig cfg = shardedChaosConfig(strategyOf(c));
+    cfg.ps_shards = psShardsOf(c);
     return cfg;
 }
 
@@ -53,7 +62,7 @@ addCrash(JobConfig &cfg)
         net::WorkerCrash{2, 20 * sim::kMsec, 60 * sim::kMsec, false});
 }
 
-class ShardedChaosMatrix : public ::testing::TestWithParam<StrategyKind>
+class ShardedChaosMatrix : public ::testing::TestWithParam<MatrixCell>
 {
   protected:
     /** Sharded faulted run: completes, deterministic across thread
@@ -102,23 +111,8 @@ TEST_P(ShardedChaosMatrix, SurvivesCrashAndRejoinSharded)
     checkFaultedRun(cfg);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Strategies, ShardedChaosMatrix,
-    ::testing::Values(StrategyKind::kSyncPs, StrategyKind::kSyncAllReduce,
-                      StrategyKind::kSyncIswitch,
-                      StrategyKind::kSyncShardedPs, StrategyKind::kAsyncPs,
-                      StrategyKind::kAsyncIswitch),
-    [](const auto &info) {
-        switch (info.param) {
-          case StrategyKind::kSyncPs: return "SyncPs";
-          case StrategyKind::kSyncAllReduce: return "SyncAr";
-          case StrategyKind::kSyncIswitch: return "SyncIsw";
-          case StrategyKind::kSyncShardedPs: return "ShardedPs";
-          case StrategyKind::kAsyncPs: return "AsyncPs";
-          case StrategyKind::kAsyncIswitch: return "AsyncIsw";
-        }
-        return "?";
-    });
+INSTANTIATE_TEST_SUITE_P(Strategies, ShardedChaosMatrix, allCells(),
+                         cellName);
 
 /** Switch-crash failover on the tree fabric (DESIGN.md §16): the core
  *  switch fail-stops mid-training, ToRs re-home to the backup core,
@@ -196,7 +190,7 @@ TEST(ShardedChaos, MultiShardPsPlacesShardsAcrossRacks)
 {
     // Tree builders spread PS shards round-robin over racks: shard k
     // lives in rack k % racks (domain k % racks + 1).
-    JobConfig cfg = shardedChaosConfig(StrategyKind::kSyncShardedPs, 6, 4);
+    JobConfig cfg = shardedChaosConfig(StrategyKind::kSyncPs, 6, 4);
     cfg.ps_shards = 3;
     auto job = makeJob(cfg);
     const Cluster &c = job->cluster();
@@ -208,8 +202,7 @@ TEST(ShardedChaos, MultiShardPsPlacesShardsAcrossRacks)
 
 TEST(ShardedChaos, MultiShardPsLossyShardedMatchesSerial)
 {
-    JobConfig serial = shardedChaosConfig(StrategyKind::kSyncShardedPs,
-                                          6, 4);
+    JobConfig serial = shardedChaosConfig(StrategyKind::kSyncPs, 6, 4);
     serial.ps_shards = 3;
     serial.faults.extra_loss = 0.01;
     JobConfig sharded = serial;

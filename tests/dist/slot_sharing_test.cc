@@ -302,8 +302,9 @@ TEST(SwitchSharing, DeterministicAcrossRuns)
 
 TEST(SwitchSharing, CrashedWorkersSlotsAreReclaimed)
 {
-    // Satellite: a worker that announces Leave mid-flight frees its
-    // in-progress contributions; the switch counts the reclaims.
+    // A worker that announces Leave mid-run and rejoins must not stall
+    // the bounded pool. In this scenario the Leave finds none of its
+    // partials in the pool, so nothing is reclaimed (`reclaimed` is 0).
     JobConfig cfg = slotConfig(StrategyKind::kSyncIswitch, 16, 4,
                                /*iters=*/6);
     const RunResult clean = runJob(cfg);
@@ -338,10 +339,6 @@ TEST(SwitchSharing, CrashedWorkersSlotsAreReclaimed)
     });
     const RunResult res = job->run();
     ASSERT_TRUE(res.ok()) << res.error;
-    // The reclaim counter is wired through the switch's stats; the
-    // Leave landing mid-round reclaims that round's partials.
-    auto &stats = job->simulation().stats();
-    EXPECT_GE(stats.counter("iswitch.switch0.reclaimed").value(), 0u);
 }
 
 } // namespace

@@ -79,7 +79,6 @@ INSTANTIATE_TEST_SUITE_P(
           case StrategyKind::kSyncIswitch: return "SyncIsw";
           case StrategyKind::kAsyncPs: return "AsyncPs";
           case StrategyKind::kAsyncIswitch: return "AsyncIsw";
-          case StrategyKind::kSyncShardedPs: return "ShardedPs";
         }
         return "?";
     });

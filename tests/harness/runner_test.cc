@@ -24,9 +24,11 @@ std::vector<ExperimentSpec>
 smallBatch()
 {
     std::vector<ExperimentSpec> specs;
-    auto add = [&specs](rl::Algo algo, dist::StrategyKind k) {
+    auto add = [&specs](rl::Algo algo, dist::StrategyKind k,
+                        std::size_t ps_shards = 1) {
         ExperimentSpec spec = timingSpec(algo, k);
         spec.name += "/unit";
+        spec.config.ps_shards = ps_shards;
         spec.config.stop.max_iterations = 5;
         specs.push_back(std::move(spec));
     };
@@ -34,7 +36,7 @@ smallBatch()
     add(rl::Algo::kDqn, dist::StrategyKind::kSyncIswitch);
     add(rl::Algo::kPpo, dist::StrategyKind::kSyncAllReduce);
     add(rl::Algo::kPpo, dist::StrategyKind::kAsyncIswitch);
-    add(rl::Algo::kA2c, dist::StrategyKind::kSyncShardedPs);
+    add(rl::Algo::kA2c, dist::StrategyKind::kSyncPs, /*ps_shards=*/4);
     add(rl::Algo::kDdpg, dist::StrategyKind::kAsyncPs);
     return specs;
 }

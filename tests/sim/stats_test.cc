@@ -103,18 +103,6 @@ TEST(TimeSeries, RecordsPoints)
     EXPECT_TRUE(ts.empty());
 }
 
-TEST(StatsRegistry, CreatesOnFirstUse)
-{
-    StatsRegistry reg;
-    reg.counter("a").inc(3);
-    reg.counter("a").inc(2);
-    EXPECT_EQ(reg.counter("a").value(), 5u);
-    reg.accumulator("b").add(1.0);
-    EXPECT_EQ(reg.accumulators().at("b").count(), 1u);
-    reg.series("c").record(1, 2.0);
-    EXPECT_EQ(reg.allSeries().at("c").points().size(), 1u);
-}
-
 TEST(Simulation, ForkedRngStreamsAreStable)
 {
     Simulation s1(99), s2(99);
