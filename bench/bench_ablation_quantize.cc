@@ -125,12 +125,9 @@ main(int argc, char **argv)
             net::Precision::kInt32));
         harness::Table t({"counter", "value"});
         for (const char *key :
-             {"pipeline_segments", "quant_value_clamps", "quant_exp_clamps",
-              "switch_overflow_clamps", "switch_exp_rescales"}) {
-            const auto it = res.extras.find(key);
-            t.row({key, harness::fmt(
-                            it == res.extras.end() ? 0.0 : it->second, 0)});
-        }
+             {"quant_value_clamps", "quant_exp_clamps",
+              "switch_overflow_clamps", "switch_exp_rescales"})
+            t.row({key, harness::fmt(res.extras.at(key), 0)});
         t.print();
     }
 

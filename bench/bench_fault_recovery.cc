@@ -78,13 +78,6 @@ faultSpec(rl::Algo algo, dist::StrategyKind k, Scenario s,
     return spec;
 }
 
-double
-extra(const dist::RunResult &res, const char *key)
-{
-    const auto it = res.extras.find(key);
-    return it == res.extras.end() ? 0.0 : it->second;
-}
-
 const char *
 replModeName(core::ReplicationMode m)
 {
@@ -173,12 +166,12 @@ main(int argc, char **argv)
                    s == Scenario::kLossless
                        ? "1.00x"
                        : bench::speedupStr(ms / base_ms),
-                   harness::fmt(extra(res, "retx_segments"), 0),
-                   harness::fmt(extra(res, "help_requests") +
-                                    extra(res, "fbcasts"),
+                   harness::fmt(res.extras.at("retx_segments"), 0),
+                   harness::fmt(res.extras.at("help_requests") +
+                                    res.extras.at("fbcasts"),
                                 0),
-                   harness::fmt(extra(res, "recoveries"), 0),
-                   harness::fmt(extra(res, "retx_gave_up"), 0)});
+                   harness::fmt(res.extras.at("recoveries"), 0),
+                   harness::fmt(res.extras.at("retx_gave_up"), 0)});
         }
         t.print();
     }
@@ -224,9 +217,9 @@ main(int argc, char **argv)
             ht.row({dist::strategyName(k), replModeName(m),
                     harness::fmt(ms, 2), bench::speedupStr(ms / base_ms),
                     harness::fmt(
-                        extra(res, "failover_promote_ms") - crash_ms, 2),
-                    harness::fmt(extra(res, "failover_repl_frames"), 0),
-                    harness::fmt(extra(res, "fault_switch_drops"), 0)});
+                        res.extras.at("failover_promote_ms") - crash_ms, 2),
+                    harness::fmt(res.extras.at("failover_repl_frames"), 0),
+                    harness::fmt(res.extras.at("fault_switch_drops"), 0)});
         }
     }
     ht.print();

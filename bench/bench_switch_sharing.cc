@@ -52,13 +52,6 @@ schedule(std::size_t k, std::size_t num_slots)
     return mc;
 }
 
-double
-fabricMetric(const dist::MultiJobResult &res, const char *key)
-{
-    const auto it = res.fabric.find(key);
-    return it == res.fabric.end() ? 0.0 : it->second;
-}
-
 /** One named scenario in the deterministic report. */
 struct Scenario {
     std::string name;
@@ -106,12 +99,12 @@ main(int argc, char **argv)
                harness::fmt(static_cast<double>(iters) /
                                 static_cast<double>(res.jobs.size()),
                             1),
-               harness::fmt(fabricMetric(res, "jain_fairness"), 3),
-               harness::fmt(fabricMetric(res, "aggregate_iterations_per_sec"),
+               harness::fmt(res.fabric.at("jain_fairness"), 3),
+               harness::fmt(res.fabric.at("aggregate_iterations_per_sec"),
                             1),
-               harness::fmt(fabricMetric(res, "slot_stale_drops"), 0),
-               harness::fmt(fabricMetric(res, "slot_busy_drops"), 0),
-               harness::fmt(fabricMetric(res, "slot_reclaimed"), 0)});
+               harness::fmt(res.fabric.at("slot_stale_drops"), 0),
+               harness::fmt(res.fabric.at("slot_busy_drops"), 0),
+               harness::fmt(res.fabric.at("slot_reclaimed"), 0)});
 
         harness::json::Value run = harness::json::Value::object();
         run["name"] = "switch-sharing/" + s.name;
@@ -140,7 +133,7 @@ main(int argc, char **argv)
     // committed baseline (compare_baselines.py::check_switch_sharing).
     harness::json::Value root = harness::json::Value::object();
     root["bench"] = "switch_sharing";
-    root["schema_version"] = 1;
+    root["schema_version"] = harness::kReportSchemaVersion;
     root["runs"] = std::move(runs);
     std::ofstream out("BENCH_switch_sharing.json");
     out << root.dump(2) << "\n";

@@ -6,7 +6,9 @@ noisy, so ordinary drift only prints a warning. The step fails only on
 a catastrophic (> 2x by default) per-iteration slowdown, which almost
 always means a real regression rather than noise. Every fresh Runner
 report is also gated: a run that errored or made zero iterations
-fails the step (the Runner records job errors instead of throwing).
+fails the step (the Runner records job errors instead of throwing),
+and so does a fault, async-curve, scalability or sharing report whose
+schema_version differs from its committed baseline.
 
 Usage: compare_baselines.py <reports_dir> [--baselines DIR] [--fail-ratio R]
 """
@@ -51,6 +53,35 @@ def check_runner_runs(reports_dir, failures):
             else:
                 checked += 1
     print(f"# runner reports: {checked} runs clean")
+
+
+SCHEMA_GATED = (
+    "BENCH_fault_recovery.json",
+    "BENCH_fig14_async_curves.json",
+    "BENCH_fig15_scalability.json",
+    "BENCH_switch_sharing.json",
+)
+
+
+def check_schema(baselines_dir, reports_dir, failures):
+    """Hard gate: a fresh report must share its baseline's schema_version.
+
+    The counter comparisons below read keys by name, so a baseline left
+    at an older schema would only show up as a drift warning per key.
+    """
+    for name in SCHEMA_GATED:
+        base_path = baselines_dir / name
+        fresh_path = reports_dir / name
+        if not base_path.exists() or not fresh_path.exists():
+            continue
+        with open(base_path) as f:
+            want = json.load(f).get("schema_version")
+        with open(fresh_path) as f:
+            got = json.load(f).get("schema_version")
+        if want != got:
+            failures.append(
+                (name, f"schema_version {got} != baseline {want}: "
+                       "regenerate the baseline"))
 
 
 RECOVERY_KEYS = (
@@ -257,6 +288,7 @@ def main():
     compared = 0
 
     check_runner_runs(args.reports_dir, failures)
+    check_schema(args.baselines, args.reports_dir, failures)
     recovery_base = args.baselines / "BENCH_fault_recovery.json"
     recovery_fresh = args.reports_dir / "BENCH_fault_recovery.json"
     if recovery_base.exists():

@@ -63,11 +63,14 @@ struct RunResult
     IterationMetrics breakdown;        ///< representative worker breakdown
     sim::TimeSeries reward_curve;      ///< (sim time, avg reward)
     /**
-     * Strategy-specific counters collected after the run (e.g. async
-     * gradients committed/skipped, peak switch buffer occupancy), so
-     * bench binaries can consume every figure they print from a
-     * RunResult instead of poking at live Job internals. Keys are
-     * stable snake_case names; see JobBase::collectExtras.
+     * Deterministic counters collected after the run (events, switch
+     * buffers, slot pool, recovery, quantization, faults, failover;
+     * async iSwitch adds gradients committed/skipped), so bench
+     * binaries can consume every figure they print from a RunResult
+     * instead of poking at live Job internals. Keys are stable
+     * snake_case names, and every run of a strategy reports the same
+     * key set: a subsystem the run does not use reports 0. See
+     * JobBase::collectExtras.
      */
     std::map<std::string, double> extras;
     /**

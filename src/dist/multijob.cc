@@ -193,17 +193,16 @@ runSharedJobs(const MultiJobConfig &cfg)
     out.fabric["jobs"] = static_cast<double>(k);
     out.fabric["jain_fairness"] = jainIndex(throughput);
     out.fabric["aggregate_iterations_per_sec"] = agg;
+    // Pool counters: capacity 0 on an unbounded pool, same key set.
     const auto &pool = fabric.root->accelerator().pool();
-    if (pool.bounded()) {
-        const core::SlotPoolStats t = pool.totals();
-        out.fabric["slot_capacity"] = static_cast<double>(pool.capacity());
-        out.fabric["slot_contention_events"] =
-            static_cast<double>(pool.contentionEvents());
-        out.fabric["slot_stale_drops"] = static_cast<double>(t.stale_drops);
-        out.fabric["slot_busy_drops"] = static_cast<double>(t.busy_drops);
-        out.fabric["slot_unadmitted"] = static_cast<double>(t.unadmitted);
-        out.fabric["slot_reclaimed"] = static_cast<double>(t.reclaimed);
-    }
+    const core::SlotPoolStats t = pool.totals();
+    out.fabric["slot_capacity"] = static_cast<double>(pool.capacity());
+    out.fabric["slot_contention_events"] =
+        static_cast<double>(pool.contentionEvents());
+    out.fabric["slot_stale_drops"] = static_cast<double>(t.stale_drops);
+    out.fabric["slot_busy_drops"] = static_cast<double>(t.busy_drops);
+    out.fabric["slot_unadmitted"] = static_cast<double>(t.unadmitted);
+    out.fabric["slot_reclaimed"] = static_cast<double>(t.reclaimed);
     return out;
 }
 

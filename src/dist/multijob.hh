@@ -52,10 +52,10 @@ struct MultiJobResult
     std::vector<RunResult> jobs;
     /**
      * Fabric-level metrics (deterministic, same spirit as
-     * RunResult::extras): "jobs", "jain_fairness",
-     * "aggregate_iterations_per_sec", "slot_capacity",
-     * "slot_contention_events", "slot_stale_drops", "slot_busy_drops",
-     * "slot_unadmitted", "slot_reclaimed".
+     * RunResult::extras), always this key set: "jobs", "jain_fairness",
+     * "aggregate_iterations_per_sec", "slot_capacity" (0 = unbounded
+     * pool), "slot_contention_events", "slot_stale_drops",
+     * "slot_busy_drops", "slot_unadmitted", "slot_reclaimed".
      */
     std::map<std::string, double> fabric;
 };

@@ -9,7 +9,6 @@ BypassPpp::encodeSeg(std::span<const float> logical,
                      net::ChunkPayload &chunk, int forced_qexp)
 {
     (void)forced_qexp;
-    ++stats_.segments;
     chunk.prec = net::Precision::kFp32;
     chunk.qexp = 0;
     chunk.values = net::PacketPool::local().acquireFloats(logical.size());
@@ -21,7 +20,6 @@ Fp16Ppp::encodeSeg(std::span<const float> logical, net::ChunkPayload &chunk,
                    int forced_qexp)
 {
     (void)forced_qexp;
-    ++stats_.segments;
     chunk.prec = net::Precision::kFp16;
     chunk.qexp = 0;
     const std::size_t words = (logical.size() + 1) / 2;
@@ -34,7 +32,6 @@ void
 Int32Ppp::encodeSeg(std::span<const float> logical, net::ChunkPayload &chunk,
                     int forced_qexp)
 {
-    ++stats_.segments;
     ml::QuantStats qs;
     const int e = forced_qexp == kAutoQexp
                       ? ml::blockExponent(logical.data(), logical.size(),

@@ -39,7 +39,6 @@ constexpr int kAutoQexp = 127;
 /** Deterministic per-processor counters (RunResult::extras). */
 struct PipelineStats
 {
-    std::uint64_t segments = 0;     ///< data segments encoded
     std::uint64_t value_clamps = 0; ///< values saturated by the codec
     std::uint64_t exp_clamps = 0;   ///< exponents clamped to wire range
 };

@@ -600,140 +600,103 @@ JobBase::finishRun(std::string error)
 void
 JobBase::collectExtras(RunResult &res) const
 {
-    if (cluster_.root != nullptr) {
-        const auto &pool = cluster_.root->accelerator().pool();
-        res.extras["peak_active_segments"] =
-            static_cast<double>(pool.peakActiveSegments());
-        res.extras["cached_results"] =
-            static_cast<double>(cluster_.root->cachedResults());
-        // Slot-pool observability. Gated on the pool actually being
-        // shared or contended so a single-job bounded run with an
-        // ample pool reports the exact legacy key set (byte-identity
-        // of lossless reports).
-        if (pool.bounded() &&
-            (pool.partitioned() || pool.contentionEvents() > 0)) {
-            res.extras["slot_capacity"] =
-                static_cast<double>(pool.capacity());
-            res.extras["slot_quota"] =
-                static_cast<double>(pool.quotaFor(job_id_));
-            const core::SlotPoolStats js = pool.jobStats(job_id_);
-            res.extras["slot_accepted"] =
-                static_cast<double>(js.accepted);
-            res.extras["slot_completed"] =
-                static_cast<double>(js.completed);
-            res.extras["slot_stale_drops"] =
-                static_cast<double>(js.stale_drops);
-            res.extras["slot_busy_drops"] =
-                static_cast<double>(js.busy_drops);
-            res.extras["slot_unadmitted"] =
-                static_cast<double>(js.unadmitted);
-            res.extras["slot_reclaimed"] =
-                static_cast<double>(js.reclaimed);
-            res.extras["slot_contention_events"] =
-                static_cast<double>(pool.contentionEvents());
-        }
+    // One fixed key set for every run (report schema 2): a subsystem
+    // the run does not use reports 0 rather than dropping its keys, so
+    // readers never branch on key presence.
+    const auto put = [&res](const char *key, const auto &value) {
+        res.extras[key] = static_cast<double>(value);
+    };
+    const auto &pool = cluster_.root->accelerator().pool();
+    put("peak_active_segments", pool.peakActiveSegments());
+    put("cached_results", cluster_.root->cachedResults());
+    // Slot-pool observability (capacity and quota are 0 on the default
+    // unbounded pool).
+    const core::SlotPoolStats js = pool.jobStats(job_id_);
+    put("slot_capacity", pool.capacity());
+    put("slot_quota", pool.quotaFor(job_id_));
+    put("slot_accepted", js.accepted);
+    put("slot_completed", js.completed);
+    put("slot_stale_drops", js.stale_drops);
+    put("slot_busy_drops", js.busy_drops);
+    put("slot_unadmitted", js.unadmitted);
+    put("slot_reclaimed", js.reclaimed);
+    put("slot_contention_events", pool.contentionEvents());
+
+    // Recovery (every timer feeds recovery_; all 0 when lossless).
+    const RecoveryStats &r = recovery_;
+    put("retx_timeouts", r.timeouts);
+    put("retx_segments", r.retransmits);
+    put("help_requests", r.help_requests);
+    put("fbcasts", r.fbcasts);
+    put("recoveries", r.recoveries);
+    put("retx_gave_up", r.gave_up);
+    put("recovery_latency_ms_total", sim::toMillis(r.latency_total));
+    put("recovery_latency_ms_max", sim::toMillis(r.latency_max));
+    static const char *const kHistKeys[6] = {
+        "recovery_hist_lt1ms",   "recovery_hist_lt4ms",
+        "recovery_hist_lt16ms",  "recovery_hist_lt64ms",
+        "recovery_hist_lt256ms", "recovery_hist_ge256ms",
+    };
+    for (std::size_t b = 0; b < r.latency_hist.size(); ++b)
+        put(kHistKeys[b], r.latency_hist[b]);
+
+    // Quantization: codec clamps summed over the workers, integer-
+    // datapath counters over every aggregating switch (a star's root
+    // is also leaves.front(); count each switch once). All 0 on fp32.
+    PipelineStats p;
+    for (const WorkerCtx &w : workers_) {
+        p.value_clamps += w.ppp->stats().value_clamps;
+        p.exp_clamps += w.ppp->stats().exp_clamps;
     }
-    // Recovery/fault observability. Gated so lossless runs emit the
-    // exact pre-existing key set (BENCH_*.json byte-identity).
-    if (recovery_on_) {
-        const RecoveryStats &r = recovery_;
-        res.extras["retx_timeouts"] = static_cast<double>(r.timeouts);
-        res.extras["retx_segments"] = static_cast<double>(r.retransmits);
-        res.extras["help_requests"] = static_cast<double>(r.help_requests);
-        res.extras["fbcasts"] = static_cast<double>(r.fbcasts);
-        res.extras["recoveries"] = static_cast<double>(r.recoveries);
-        res.extras["retx_gave_up"] = static_cast<double>(r.gave_up);
-        res.extras["recovery_latency_ms_total"] =
-            sim::toMillis(r.latency_total);
-        res.extras["recovery_latency_ms_max"] = sim::toMillis(r.latency_max);
-        static const char *const kHistKeys[6] = {
-            "recovery_hist_lt1ms",   "recovery_hist_lt4ms",
-            "recovery_hist_lt16ms",  "recovery_hist_lt64ms",
-            "recovery_hist_lt256ms", "recovery_hist_ge256ms",
-        };
-        for (std::size_t b = 0; b < r.latency_hist.size(); ++b)
-            res.extras[kHistKeys[b]] =
-                static_cast<double>(r.latency_hist[b]);
-    }
-    // Quantization observability. Gated on a quantized precision so
-    // fp32 (bypass) runs emit the exact legacy key set.
-    if (cfg_.precision != net::Precision::kFp32) {
-        PipelineStats p;
-        for (const WorkerCtx &w : workers_) {
-            if (w.ppp == nullptr)
-                continue;
-            p.segments += w.ppp->stats().segments;
-            p.value_clamps += w.ppp->stats().value_clamps;
-            p.exp_clamps += w.ppp->stats().exp_clamps;
-        }
-        res.extras["pipeline_segments"] = static_cast<double>(p.segments);
-        res.extras["quant_value_clamps"] =
-            static_cast<double>(p.value_clamps);
-        res.extras["quant_exp_clamps"] = static_cast<double>(p.exp_clamps);
-        if (cluster_.root != nullptr) {
-            // Integer-datapath counters summed over every aggregating
-            // switch (a star's root is also leaves.front(); count each
-            // switch once).
-            core::SlotPoolStats sw;
-            const auto fold = [&sw](core::ProgrammableSwitch *s) {
-                const core::SlotPoolStats t =
-                    s->accelerator().pool().totals();
-                sw.overflow_clamps += t.overflow_clamps;
-                sw.exp_rescales += t.exp_rescales;
-            };
-            fold(cluster_.root);
-            for (core::ProgrammableSwitch *leaf : cluster_.leaves)
-                if (leaf != cluster_.root)
-                    fold(leaf);
-            for (core::ProgrammableSwitch *agg : cluster_.aggs)
-                if (agg != cluster_.root)
-                    fold(agg);
-            res.extras["switch_overflow_clamps"] =
-                static_cast<double>(sw.overflow_clamps);
-            res.extras["switch_exp_rescales"] =
-                static_cast<double>(sw.exp_rescales);
-        }
-    }
-    if (injector_ != nullptr) {
-        const net::FaultStats &f = injector_->stats();
-        res.extras["fault_ge_drops"] = static_cast<double>(f.ge_drops);
-        res.extras["fault_iid_drops"] = static_cast<double>(f.iid_drops);
-        res.extras["fault_down_drops"] = static_cast<double>(f.down_drops);
-        res.extras["fault_duplicates"] = static_cast<double>(f.duplicates);
-        res.extras["fault_reorders"] = static_cast<double>(f.reorders);
-        // Switch-fault counters only when the plan schedules switch
-        // faults: plans without them keep the exact legacy key set.
-        if (cfg_.faults.hasSwitchFaults()) {
-            res.extras["fault_switch_drops"] =
-                static_cast<double>(f.switch_drops);
-            res.extras["fault_partition_drops"] =
-                static_cast<double>(f.partition_drops);
-        }
-    }
-    // HA observability, strictly conditional on a backup existing so
-    // every pre-HA report keeps its exact key set.
-    if (cluster_.backup != nullptr) {
-        const core::ProgrammableSwitch &bk = *cluster_.backup;
-        res.extras["failover_events"] = bk.haPromoted() ? 1.0 : 0.0;
-        res.extras["failover_heartbeats"] =
-            static_cast<double>(bk.haMonitor().beats());
-        res.extras["failover_beats_missed"] =
-            static_cast<double>(bk.haMonitor().missed());
-        res.extras["failover_promote_ms"] =
-            bk.haPromoted() ? sim::toMillis(bk.haPromoteTime()) : 0.0;
-        if (const core::ReplicatedAccelerator *r =
-                cluster_.root->replication()) {
-            const core::ReplicationStats &rs = r->stats();
-            res.extras["failover_repl_frames"] = static_cast<double>(
-                rs.state_frames + rs.result_frames + rs.member_frames);
-            res.extras["failover_repl_results"] =
-                static_cast<double>(rs.result_frames);
-        }
-        res.extras["failover_repl_applied"] = static_cast<double>(
-            bk.haStateApplied() + bk.haMembersApplied());
-        res.extras["failover_repl_results_applied"] =
-            static_cast<double>(bk.haResultsApplied());
-    }
+    put("quant_value_clamps", p.value_clamps);
+    put("quant_exp_clamps", p.exp_clamps);
+    core::SlotPoolStats sw;
+    const auto fold = [&sw](core::ProgrammableSwitch *s) {
+        const core::SlotPoolStats t = s->accelerator().pool().totals();
+        sw.overflow_clamps += t.overflow_clamps;
+        sw.exp_rescales += t.exp_rescales;
+    };
+    fold(cluster_.root);
+    for (core::ProgrammableSwitch *leaf : cluster_.leaves)
+        if (leaf != cluster_.root)
+            fold(leaf);
+    for (core::ProgrammableSwitch *agg : cluster_.aggs)
+        if (agg != cluster_.root)
+            fold(agg);
+    put("switch_overflow_clamps", sw.overflow_clamps);
+    put("switch_exp_rescales", sw.exp_rescales);
+
+    // Fault injection (all 0 without a fault plan).
+    const net::FaultStats f =
+        injector_ != nullptr ? injector_->stats() : net::FaultStats{};
+    put("fault_ge_drops", f.ge_drops);
+    put("fault_iid_drops", f.iid_drops);
+    put("fault_down_drops", f.down_drops);
+    put("fault_duplicates", f.duplicates);
+    put("fault_reorders", f.reorders);
+    put("fault_switch_drops", f.switch_drops);
+    put("fault_partition_drops", f.partition_drops);
+
+    // HA failover (all 0 without a backup switch).
+    const core::ProgrammableSwitch *bk = cluster_.backup;
+    const bool promoted = bk != nullptr && bk->haPromoted();
+    const core::ReplicationStats rs =
+        cluster_.root->replication() != nullptr
+            ? cluster_.root->replication()->stats()
+            : core::ReplicationStats{};
+    put("failover_events", promoted ? 1 : 0);
+    put("failover_heartbeats", bk != nullptr ? bk->haMonitor().beats() : 0);
+    put("failover_beats_missed",
+        bk != nullptr ? bk->haMonitor().missed() : 0);
+    put("failover_promote_ms",
+        promoted ? sim::toMillis(bk->haPromoteTime()) : 0.0);
+    put("failover_repl_frames",
+        rs.state_frames + rs.result_frames + rs.member_frames);
+    put("failover_repl_results", rs.result_frames);
+    put("failover_repl_applied",
+        bk != nullptr ? bk->haStateApplied() + bk->haMembersApplied() : 0);
+    put("failover_repl_results_applied",
+        bk != nullptr ? bk->haResultsApplied() : 0);
 }
 
 std::unique_ptr<JobBase>

@@ -139,8 +139,8 @@ struct JobConfig
     /**
      * Gradient wire precision — the pre/post-processor pipeline every
      * strategy runs per chunk (DESIGN.md §14). kFp32 is the lossless
-     * bypass (reports byte-identical to a build without the
-     * pipeline); kFp16 packs two halves per wire word and halves a
+     * bypass (it simulates exactly as a build without the pipeline
+     * would); kFp16 packs two halves per wire word and halves a
      * paper-sized wire model; kInt32 is block-shared-exponent fixed
      * point, which the switch accumulates exactly with integer adds.
      * Async-PS weight pulls always stay fp32 — only gradients
@@ -247,10 +247,10 @@ class JobBase
     virtual void start() = 0;
 
     /**
-     * Populate RunResult::extras after the simulation drains. The base
-     * records switch-side resource stats (peak active segment buffers,
-     * recovery-cache entries) when the cluster has an aggregation
-     * root; subclasses add strategy-specific counters.
+     * Populate RunResult::extras after the simulation drains: the base
+     * records one fixed key set (switch buffers, slot pool, recovery,
+     * quantization, faults, failover; 0 where a subsystem is absent);
+     * subclasses add strategy-specific counters.
      */
     virtual void collectExtras(RunResult &res) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,21 +29,34 @@ resolveJobs(std::size_t requested)
     return hw > 0 ? hw : 1;
 }
 
-/** Appends typed fields as canonical 64-bit words. */
-struct KeyBuilder
+json::Value
+linkJson(const net::LinkConfig &l)
 {
-    std::vector<std::uint64_t> words;
+    json::Value v = json::Value::object();
+    v["bandwidth_bps"] = l.bandwidth_bps;
+    v["propagation_ns"] = l.propagation;
+    v["loss_prob"] = l.loss_prob;
+    return v;
+}
 
-    void u(std::uint64_t v) { words.push_back(v); }
-    void d(double v) { words.push_back(std::bit_cast<std::uint64_t>(v)); }
-};
-
-void
-appendLink(KeyBuilder &kb, const net::LinkConfig &l)
+json::Value
+overheadJson(const dist::HostOverhead &o)
 {
-    kb.d(l.bandwidth_bps);
-    kb.u(l.propagation);
-    kb.d(l.loss_prob);
+    json::Value v = json::Value::object();
+    v["send_ns"] = o.send;
+    v["recv_ns"] = o.recv;
+    return v;
+}
+
+/** A JSON array holding entry(item) for every item. */
+template <typename T, typename Fn>
+json::Value
+listJson(const std::vector<T> &items, Fn entry)
+{
+    json::Value v = json::Value::array();
+    for (const T &item : items)
+        v.push(entry(item));
+    return v;
 }
 
 } // namespace
@@ -61,129 +73,7 @@ ExperimentSpec::normalizedConfig() const
 SpecKey
 SpecKey::of(const dist::JobConfig &cfg)
 {
-    // Every JobConfig field, in declaration order. A field added to
-    // JobConfig (or its nested configs) must be appended here, or two
-    // configs differing only in that field would share a cache slot.
-    KeyBuilder kb;
-    kb.u(static_cast<std::uint64_t>(cfg.algo));
-    kb.u(static_cast<std::uint64_t>(cfg.strategy));
-    kb.u(cfg.num_workers);
-
-    const rl::AgentConfig &a = cfg.agent;
-    kb.u(a.hidden);
-    kb.d(a.lr);
-    kb.d(a.gamma);
-    kb.u(a.steps_per_iter);
-    kb.u(a.batch_size);
-    kb.u(a.replay_capacity);
-    kb.u(a.warmup);
-    kb.u(a.target_sync_iters);
-    kb.d(a.grad_clip);
-    kb.d(a.eps_start);
-    kb.d(a.eps_end);
-    kb.u(a.eps_decay_iters);
-    kb.d(a.noise_std);
-    kb.d(a.tau);
-    kb.d(a.value_coef);
-    kb.d(a.entropy_coef);
-    kb.d(a.gae_lambda);
-    kb.d(a.ppo_clip);
-    kb.d(a.init_log_std);
-
-    kb.u(cfg.wire_model_bytes);
-    for (const sim::TimeNs t : cfg.profile.mean)
-        kb.u(t);
-    kb.d(cfg.profile.jitter_cv);
-    kb.u(cfg.overhead.send);
-    kb.u(cfg.overhead.recv);
-    kb.u(cfg.iswitch_overhead.send);
-    kb.u(cfg.iswitch_overhead.recv);
-    kb.d(cfg.ps_sum_bytes_per_sec);
-
-    const dist::ClusterConfig &c = cfg.cluster;
-    kb.u(c.num_workers);
-    kb.u(c.with_ps ? 1 : 0);
-    kb.u(c.ps_shards);
-    appendLink(kb, c.edge_link);
-    appendLink(kb, c.uplink);
-    kb.u(c.per_rack);
-    kb.u(c.racks_per_pod);
-    appendLink(kb, c.core_link);
-    kb.d(c.accel.clock_hz);
-    kb.u(c.accel.burst_bytes);
-    kb.u(c.accel.fixed_latency);
-    kb.u(c.accel.num_slots);
-    kb.u(c.switch_cfg.forwarding_latency);
-    kb.u(c.worker_jobs.size());
-    for (const std::uint8_t j : c.worker_jobs)
-        kb.u(j);
-    kb.u(c.ha.with_backup ? 1 : 0);
-    kb.u(static_cast<std::uint64_t>(c.ha.repl_mode));
-    kb.u(c.ha.staleness_window);
-    kb.u(c.ha.heartbeat_period);
-    kb.u(c.ha.miss_threshold);
-
-    kb.u(cfg.use_tree ? 1 : 0);
-    kb.u(cfg.use_fat_tree ? 1 : 0);
-    kb.u(cfg.shard ? 1 : 0);
-    kb.u(cfg.shard_threads);
-    kb.u(cfg.seed);
-    kb.u(cfg.staleness_bound);
-    kb.u(cfg.ps_shards);
-    kb.u(cfg.agg_threshold);
-    kb.u(static_cast<std::uint64_t>(cfg.precision));
-    kb.u(cfg.stop.max_iterations);
-    kb.d(cfg.stop.target_reward);
-    kb.u(cfg.stop.min_episodes);
-    kb.u(cfg.stop.max_sim_time);
-    kb.u(cfg.curve_every);
-
-    kb.u(cfg.retx.timeout);
-    kb.d(cfg.retx.backoff);
-    kb.u(cfg.retx.max_retries);
-    kb.u(cfg.retx.max_timeout);
-
-    const net::FaultPlan &f = cfg.faults;
-    kb.d(f.ge.p_good_to_bad);
-    kb.d(f.ge.p_bad_to_good);
-    kb.d(f.ge.loss_good);
-    kb.d(f.ge.loss_bad);
-    kb.d(f.extra_loss);
-    kb.d(f.duplicate_prob);
-    kb.d(f.reorder_prob);
-    kb.u(f.reorder_delay);
-    kb.u(f.link_down.size());
-    for (const net::LinkDownWindow &w : f.link_down) {
-        kb.u(w.worker);
-        kb.u(w.down_at);
-        kb.u(w.up_at);
-    }
-    kb.u(f.crashes.size());
-    for (const net::WorkerCrash &c : f.crashes) {
-        kb.u(c.worker);
-        kb.u(c.crash_at);
-        kb.u(c.rejoin_at);
-        kb.u(c.announce ? 1 : 0);
-    }
-    kb.u(f.stragglers.size());
-    for (const net::Straggler &s : f.stragglers) {
-        kb.u(s.worker);
-        kb.d(s.slowdown);
-        kb.u(s.from);
-        kb.u(s.until);
-    }
-    kb.u(f.switch_crashes.size());
-    for (const net::SwitchCrash &sc : f.switch_crashes) {
-        kb.u(sc.crash_at);
-        kb.u(sc.rejoin_at);
-    }
-    kb.u(f.control_partitions.size());
-    for (const net::ControlPartition &p : f.control_partitions) {
-        kb.u(p.from);
-        kb.u(p.until);
-    }
-
-    return SpecKey{std::move(kb.words)};
+    return SpecKey{configToJson(cfg).dump()};
 }
 
 struct Runner::Entry
@@ -348,7 +238,7 @@ Runner::reportJson(const std::string &bench_name) const
 
     json::Value root = json::Value::object();
     root["bench"] = bench_name;
-    root["schema_version"] = 1;
+    root["schema_version"] = kReportSchemaVersion;
     root["jobs"] = static_cast<std::uint64_t>(jobs_);
     root["scale"] = benchOptions().full ? "full" : "quick";
     json::Value runs = json::Value::array();
@@ -475,78 +365,141 @@ configToJson(const dist::JobConfig &cfg)
     json::Value v = json::Value::object();
     v["algo"] = rl::algoName(cfg.algo);
     v["strategy"] = dist::strategyName(cfg.strategy);
-    v["num_workers"] = static_cast<std::uint64_t>(cfg.num_workers);
+    v["num_workers"] = cfg.num_workers;
+
+    const rl::AgentConfig &a = cfg.agent;
+    json::Value &agent = v["agent"];
+    agent["hidden"] = a.hidden;
+    agent["lr"] = a.lr;
+    agent["gamma"] = a.gamma;
+    agent["steps_per_iter"] = a.steps_per_iter;
+    agent["batch_size"] = a.batch_size;
+    agent["replay_capacity"] = a.replay_capacity;
+    agent["warmup"] = a.warmup;
+    agent["target_sync_iters"] = a.target_sync_iters;
+    agent["grad_clip"] = a.grad_clip;
+    agent["eps_start"] = a.eps_start;
+    agent["eps_end"] = a.eps_end;
+    agent["eps_decay_iters"] = a.eps_decay_iters;
+    agent["noise_std"] = a.noise_std;
+    agent["tau"] = a.tau;
+    agent["value_coef"] = a.value_coef;
+    agent["entropy_coef"] = a.entropy_coef;
+    agent["gae_lambda"] = a.gae_lambda;
+    agent["ppo_clip"] = a.ppo_clip;
+    agent["init_log_std"] = a.init_log_std;
+
     v["wire_model_bytes"] = cfg.wire_model_bytes;
+    json::Value &profile = v["profile"];
+    for (std::size_t c = 0; c < dist::kNumComponents; ++c)
+        profile["mean_ns"][dist::componentName(
+            static_cast<dist::IterComponent>(c))] = cfg.profile.mean[c];
+    profile["jitter_cv"] = cfg.profile.jitter_cv;
+    v["overhead"] = overheadJson(cfg.overhead);
+    v["iswitch_overhead"] = overheadJson(cfg.iswitch_overhead);
+    v["ps_sum_bytes_per_sec"] = cfg.ps_sum_bytes_per_sec;
+
+    // ClusterConfig's num_workers, with_ps and ps_shards stay out:
+    // JobBase overwrites all three from the job (num_workers, the
+    // strategy and ps_shards here), so they never reach the run.
+    const dist::ClusterConfig &c = cfg.cluster;
+    json::Value &cluster = v["cluster"];
+    cluster["edge_link"] = linkJson(c.edge_link);
+    cluster["uplink"] = linkJson(c.uplink);
+    cluster["per_rack"] = c.per_rack;
+    cluster["racks_per_pod"] = c.racks_per_pod;
+    cluster["core_link"] = linkJson(c.core_link);
+    json::Value &accel = cluster["accel"];
+    accel["clock_hz"] = c.accel.clock_hz;
+    accel["burst_bytes"] = c.accel.burst_bytes;
+    accel["fixed_latency_ns"] = c.accel.fixed_latency;
+    accel["num_slots"] = c.accel.num_slots;
+    cluster["switch"]["forwarding_latency_ns"] =
+        c.switch_cfg.forwarding_latency;
+    cluster["worker_jobs"] = listJson(
+        c.worker_jobs, [](std::uint8_t j) { return json::Value(j); });
+    json::Value &ha = cluster["ha"];
+    ha["with_backup"] = c.ha.with_backup;
+    ha["repl_mode"] = static_cast<int>(c.ha.repl_mode);
+    ha["staleness_window_ns"] = c.ha.staleness_window;
+    ha["heartbeat_period_ns"] = c.ha.heartbeat_period;
+    ha["miss_threshold"] = static_cast<std::uint64_t>(c.ha.miss_threshold);
+
     v["use_tree"] = cfg.use_tree;
-    // Conditional: absent on two-layer configs so pre-fat-tree reports
-    // stay byte-identical.
-    if (cfg.use_fat_tree)
-        v["use_fat_tree"] = true;
-    if (cfg.shard)
-        v["shard"] = true;
+    v["use_fat_tree"] = cfg.use_fat_tree;
+    v["shard"] = cfg.shard;
+    v["shard_threads"] = static_cast<std::uint64_t>(cfg.shard_threads);
     v["seed"] = cfg.seed;
     v["staleness_bound"] =
         static_cast<std::uint64_t>(cfg.staleness_bound);
-    v["ps_shards"] = static_cast<std::uint64_t>(cfg.ps_shards);
+    v["ps_shards"] = cfg.ps_shards;
     v["agg_threshold"] = static_cast<std::uint64_t>(cfg.agg_threshold);
-    // Conditional: absent on fp32 configs so pre-pipeline reports stay
-    // byte-identical.
-    if (cfg.precision != net::Precision::kFp32)
-        v["precision"] = net::precisionName(cfg.precision);
-    v["curve_every"] = static_cast<std::uint64_t>(cfg.curve_every);
-    v["edge_bandwidth_bps"] = cfg.cluster.edge_link.bandwidth_bps;
-    // Conditional: absent on unbounded-pool configs so pre-slot-pool
-    // reports stay byte-identical.
-    if (cfg.cluster.accel.num_slots > 0)
-        v["num_slots"] =
-            static_cast<std::uint64_t>(cfg.cluster.accel.num_slots);
-    json::Value stop = json::Value::object();
+    v["precision"] = net::precisionName(cfg.precision);
+    json::Value &stop = v["stop"];
     stop["max_iterations"] = cfg.stop.max_iterations;
-    if (cfg.stop.hasTarget())
-        stop["target_reward"] = cfg.stop.target_reward;
-    else
-        stop["target_reward"] = json::Value(); // null: no reward target
+    stop["target_reward"] = cfg.stop.hasTarget()
+                                ? json::Value(cfg.stop.target_reward)
+                                : json::Value(); // null: no reward target
     stop["min_episodes"] = cfg.stop.min_episodes;
-    // Conditional keys: absent on pre-fault-subsystem configs so the
-    // committed BENCH baselines stay byte-identical.
-    if (cfg.stop.max_sim_time > 0)
-        stop["max_sim_time_ns"] = cfg.stop.max_sim_time;
-    v["stop"] = std::move(stop);
-    const bool lossy = !cfg.faults.empty() ||
-                       cfg.cluster.edge_link.loss_prob > 0.0 ||
-                       cfg.cluster.uplink.loss_prob > 0.0;
-    if (lossy) {
-        json::Value retx = json::Value::object();
-        retx["timeout_ns"] = cfg.retx.timeout;
-        retx["backoff"] = cfg.retx.backoff;
-        retx["max_retries"] =
-            static_cast<std::uint64_t>(cfg.retx.max_retries);
-        v["retx"] = std::move(retx);
-    }
-    if (!cfg.faults.empty()) {
-        const net::FaultPlan &f = cfg.faults;
-        json::Value fp = json::Value::object();
-        if (f.ge.enabled()) {
-            json::Value ge = json::Value::object();
-            ge["p_good_to_bad"] = f.ge.p_good_to_bad;
-            ge["p_bad_to_good"] = f.ge.p_bad_to_good;
-            ge["loss_good"] = f.ge.loss_good;
-            ge["loss_bad"] = f.ge.loss_bad;
-            fp["gilbert_elliott"] = std::move(ge);
-        }
-        if (f.extra_loss > 0.0)
-            fp["extra_loss"] = f.extra_loss;
-        if (f.duplicate_prob > 0.0)
-            fp["duplicate_prob"] = f.duplicate_prob;
-        if (f.reorder_prob > 0.0)
-            fp["reorder_prob"] = f.reorder_prob;
-        fp["link_down_windows"] =
-            static_cast<std::uint64_t>(f.link_down.size());
-        fp["crashes"] = static_cast<std::uint64_t>(f.crashes.size());
-        fp["stragglers"] =
-            static_cast<std::uint64_t>(f.stragglers.size());
-        v["faults"] = std::move(fp);
-    }
+    stop["max_sim_time_ns"] = cfg.stop.max_sim_time;
+    v["curve_every"] = cfg.curve_every;
+
+    const net::FaultPlan &f = cfg.faults;
+    json::Value &faults = v["faults"];
+    json::Value &ge = faults["gilbert_elliott"];
+    ge["p_good_to_bad"] = f.ge.p_good_to_bad;
+    ge["p_bad_to_good"] = f.ge.p_bad_to_good;
+    ge["loss_good"] = f.ge.loss_good;
+    ge["loss_bad"] = f.ge.loss_bad;
+    faults["extra_loss"] = f.extra_loss;
+    faults["duplicate_prob"] = f.duplicate_prob;
+    faults["reorder_prob"] = f.reorder_prob;
+    faults["reorder_delay_ns"] = f.reorder_delay;
+    faults["link_down"] =
+        listJson(f.link_down, [](const net::LinkDownWindow &w) {
+            json::Value e = json::Value::object();
+            e["worker"] = w.worker;
+            e["down_at_ns"] = w.down_at;
+            e["up_at_ns"] = w.up_at;
+            return e;
+        });
+    faults["crashes"] = listJson(f.crashes, [](const net::WorkerCrash &w) {
+        json::Value e = json::Value::object();
+        e["worker"] = w.worker;
+        e["crash_at_ns"] = w.crash_at;
+        e["rejoin_at_ns"] = w.rejoin_at;
+        e["announce"] = w.announce;
+        return e;
+    });
+    faults["stragglers"] =
+        listJson(f.stragglers, [](const net::Straggler &s) {
+            json::Value e = json::Value::object();
+            e["worker"] = s.worker;
+            e["slowdown"] = s.slowdown;
+            e["from_ns"] = s.from;
+            e["until_ns"] = s.until;
+            return e;
+        });
+    faults["switch_crashes"] =
+        listJson(f.switch_crashes, [](const net::SwitchCrash &sc) {
+            json::Value e = json::Value::object();
+            e["crash_at_ns"] = sc.crash_at;
+            e["rejoin_at_ns"] = sc.rejoin_at;
+            return e;
+        });
+    faults["control_partitions"] =
+        listJson(f.control_partitions, [](const net::ControlPartition &p) {
+            json::Value e = json::Value::object();
+            e["from_ns"] = p.from;
+            e["until_ns"] = p.until;
+            return e;
+        });
+
+    json::Value &retx = v["retx"];
+    retx["timeout_ns"] = cfg.retx.timeout;
+    retx["backoff"] = cfg.retx.backoff;
+    retx["max_retries"] = static_cast<std::uint64_t>(cfg.retx.max_retries);
+    retx["max_timeout_ns"] = cfg.retx.max_timeout;
     return v;
 }
 

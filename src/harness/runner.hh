@@ -50,20 +50,20 @@ struct ExperimentSpec
 };
 
 /**
- * Typed memoization key: a canonical encoding of every JobConfig
- * field. Doubles are encoded by bit pattern, which makes the ordering
- * total (NaN-safe — StopCondition::target_reward is NaN for timing
- * runs) and two configs equal exactly when every field is bit-equal.
+ * Memoization key: the compact dump of configToJson(cfg), i.e. the
+ * report's config block, so the key and the report cannot disagree on
+ * what makes a run. Equal configs share a key; doubles print
+ * round-trip exact and integers exactly up to 2^53, while NaN and
+ * infinities all print as null (only StopCondition::target_reward
+ * uses NaN, meaning "no target").
  */
 struct SpecKey
 {
-    std::vector<std::uint64_t> words;
+    std::string text;
 
-    /** Build the key for @p cfg. Update alongside JobConfig. */
     static SpecKey of(const dist::JobConfig &cfg);
 
-    bool operator<(const SpecKey &o) const { return words < o.words; }
-    bool operator==(const SpecKey &o) const { return words == o.words; }
+    auto operator<=>(const SpecKey &) const = default;
 };
 
 /** Runner construction knobs. */
@@ -158,6 +158,13 @@ class Runner
     std::mutex log_mu_; ///< serializes tagged job log lines
 };
 
+/**
+ * schema_version of the Runner and switch-sharing reports. 2: every
+ * run of a strategy reports one fixed extras (and fabric) key set, and
+ * the config block holds every JobConfig field.
+ */
+inline constexpr int kReportSchemaVersion = 2;
+
 /** Serialize a RunResult (schema: iterations, per_iter_ms, reward,
  *  reached_target, total_sim_ns, breakdown, extras, curve). */
 json::Value resultToJson(const dist::RunResult &r);
@@ -169,7 +176,11 @@ json::Value resultToJson(const dist::RunResult &r);
  */
 dist::RunResult resultFromJson(const json::Value &v);
 
-/** Serialize the reportable fields of a JobConfig. */
+/**
+ * Serialize every JobConfig field that reaches the run, nested like
+ * the struct (the three ClusterConfig fields JobBase derives from the
+ * job stay out). SpecKey::of is its compact dump.
+ */
 json::Value configToJson(const dist::JobConfig &cfg);
 
 } // namespace isw::harness

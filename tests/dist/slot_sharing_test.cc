@@ -2,8 +2,9 @@
  *
  *  Covers the DESIGN.md §11 contract end to end: a 4-slot pool
  *  streams a tensor bigger than itself without ever exceeding its
- *  capacity; an ample pool is byte-identical to the unbounded legacy
- *  pool; duplication + reordering faults neither double-accumulate
+ *  capacity; an ample pool reports what the unbounded pool does;
+ *  a worker's Leave reclaims its partials from the pool;
+ *  duplication + reordering faults neither double-accumulate
  *  nor deadlock against a tiny pool; and two concurrent jobs share
  *  one switch with fairness/contention counters to show for it. */
 
@@ -43,10 +44,9 @@ TEST(BoundedPoolStreaming, FourSlotsCarrySixteenSegments)
     ASSERT_TRUE(res.extras.count("peak_active_segments"));
     EXPECT_LE(res.extras.at("peak_active_segments"), 4.0);
     EXPECT_GT(res.extras.at("peak_active_segments"), 0.0);
-    // Lossless in-order streaming never bounces off a busy slot, so
-    // the contention-gated slot keys must be absent (legacy key set).
-    EXPECT_EQ(res.extras.count("slot_busy_drops"), 0u);
-    EXPECT_EQ(res.extras.count("slot_capacity"), 0u);
+    // Lossless in-order streaming never bounces off a busy slot.
+    EXPECT_EQ(res.extras.at("slot_busy_drops"), 0.0);
+    EXPECT_EQ(res.extras.at("slot_capacity"), 4.0);
 }
 
 TEST(BoundedPoolStreaming, MatchesUnboundedWeightsExactly)
@@ -75,16 +75,23 @@ TEST(BoundedPoolStreaming, AmplePoolReportIsByteIdenticalToLegacy)
 {
     // Acceptance criterion: pool >= segment count + single job +
     // lossless => the serialized report is byte-identical to the
-    // pre-slot-pool pipeline (num_slots = 0).
+    // unbounded pool's (num_slots = 0), apart from slot_capacity and
+    // slot_quota, which repeat num_slots.
     const JobConfig legacy =
         slotConfig(StrategyKind::kSyncIswitch, 6, 0);
     JobConfig ample = legacy;
     ample.cluster.accel.num_slots = 8; // >= 6 segments
 
-    const RunResult r0 = runJob(legacy);
-    const RunResult r1 = runJob(ample);
+    RunResult r0 = runJob(legacy);
+    RunResult r1 = runJob(ample);
     ASSERT_TRUE(r0.ok()) << r0.error;
     ASSERT_TRUE(r1.ok()) << r1.error;
+    EXPECT_EQ(r1.extras.at("slot_capacity"), 8.0);
+    EXPECT_EQ(r1.extras.at("slot_quota"), 8.0);
+    for (RunResult *r : {&r0, &r1}) {
+        r->extras.erase("slot_capacity");
+        r->extras.erase("slot_quota");
+    }
     EXPECT_EQ(harness::resultToJson(r0).dump(2),
               harness::resultToJson(r1).dump(2));
 }
@@ -302,11 +309,15 @@ TEST(SwitchSharing, DeterministicAcrossRuns)
 
 TEST(SwitchSharing, CrashedWorkersSlotsAreReclaimed)
 {
-    // A worker that announces Leave mid-run and rejoins must not stall
-    // the bounded pool. In this scenario the Leave finds none of its
-    // partials in the pool, so nothing is reclaimed (`reclaimed` is 0).
+    // A worker that announces Leave mid-round must have its partial
+    // sums reclaimed from the bounded pool and must not stall it.
+    // Workers 0 and 1 run four times slower, so worker 2's
+    // contributions sit in the 4-slot pool waiting for theirs when its
+    // Leave lands, 30% into the run.
     JobConfig cfg = slotConfig(StrategyKind::kSyncIswitch, 16, 4,
                                /*iters=*/6);
+    for (std::size_t w : {0u, 1u})
+        cfg.faults.stragglers.push_back(net::Straggler{w, 4.0});
     const RunResult clean = runJob(cfg);
     ASSERT_TRUE(clean.ok()) << clean.error;
 
@@ -317,18 +328,19 @@ TEST(SwitchSharing, CrashedWorkersSlotsAreReclaimed)
     cfg.faults.extra_loss = 1e-9;
     cfg.stop.max_sim_time = clean.total_time * 100 + sim::kSec;
     auto job = makeJob(cfg);
-    // Mid-training, worker 2 sends Leave then rejoins shortly after
-    // (the strategy keeps driving it; membership churn is what we're
-    // exercising, the auto-H dip makes remaining rounds completable).
+    // Worker 2 sends Leave then rejoins shortly after (the strategy
+    // keeps driving it; membership churn is what we're exercising, the
+    // auto-H dip makes remaining rounds completable).
     net::Host *h = job->cluster().workers[2];
     core::ProgrammableSwitch *sw = job->cluster().root;
-    job->simulation().at(clean.total_time / 2, [h, sw] {
+    const sim::TimeNs leave_at = clean.total_time * 3 / 10;
+    job->simulation().at(leave_at, [h, sw] {
         net::ControlPayload leave;
         leave.action = net::Action::kLeave;
         h->sendTo(sw->ip(), kSwitchPort, kWorkerPort, net::kTosControl,
                   leave);
     });
-    job->simulation().at(clean.total_time / 2 + 2 * sim::kMsec, [h, sw] {
+    job->simulation().at(leave_at + 2 * sim::kMsec, [h, sw] {
         net::ControlPayload join;
         join.action = net::Action::kJoin;
         join.has_value = true;
@@ -339,6 +351,8 @@ TEST(SwitchSharing, CrashedWorkersSlotsAreReclaimed)
     });
     const RunResult res = job->run();
     ASSERT_TRUE(res.ok()) << res.error;
+    EXPECT_EQ(res.iterations, 6u);
+    EXPECT_GT(res.extras.at("slot_reclaimed"), 0.0);
 }
 
 } // namespace

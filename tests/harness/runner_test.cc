@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -269,6 +272,182 @@ TEST(SpecKey, EveryReportedFieldChangesTheKey)
     c.faults.control_partitions.push_back(
         net::ControlPartition{sim::kSec, 2 * sim::kSec});
     EXPECT_FALSE(SpecKey::of(c) == k0);
+}
+
+/** Every leaf of @p v as path -> compact dump ("/cluster/ha/repl_mode"). */
+void
+leaves(const json::Value &v, const std::string &path,
+       std::map<std::string, std::string> &out)
+{
+    if (!v.members().empty()) {
+        for (const auto &[key, member] : v.members())
+            leaves(member, path + "/" + key, out);
+    } else if (!v.items().empty()) {
+        for (std::size_t i = 0; i < v.size(); ++i)
+            leaves(v.items()[i], path + "/" + std::to_string(i), out);
+    } else {
+        out[path] = v.dump();
+    }
+}
+
+TEST(SpecKey, EveryConfigValueChangesTheKey)
+{
+    // One row per value configToJson emits. Each row changes exactly
+    // that value and must get a key of its own; a value the config
+    // block gains without a row fails the coverage check at the end.
+    using Cfg = dist::JobConfig;
+    Cfg base = timingJob(rl::Algo::kDqn, dist::StrategyKind::kSyncPs);
+    base.cluster.worker_jobs = {1};
+    base.faults.link_down = {net::LinkDownWindow{1, 10, 20}};
+    base.faults.crashes = {net::WorkerCrash{1, 10, 20, true}};
+    base.faults.stragglers = {net::Straggler{1, 2.0, 10, 20}};
+    base.faults.switch_crashes = {net::SwitchCrash{10, 20}};
+    base.faults.control_partitions = {net::ControlPartition{10, 20}};
+
+    struct Row
+    {
+        std::string leaf;
+        std::function<void(Cfg &)> apply;
+    };
+#define BUMP(leaf, field) Row{leaf, [](Cfg &c) { c.field += 1; }}
+#define FLIP(leaf, field) Row{leaf, [](Cfg &c) { c.field = !c.field; }}
+    std::vector<Row> rows = {
+        {"/algo", [](Cfg &c) { c.algo = rl::Algo::kA2c; }},
+        {"/strategy",
+         [](Cfg &c) { c.strategy = dist::StrategyKind::kSyncIswitch; }},
+        BUMP("/num_workers", num_workers),
+        BUMP("/agent/hidden", agent.hidden),
+        BUMP("/agent/lr", agent.lr),
+        BUMP("/agent/gamma", agent.gamma),
+        BUMP("/agent/steps_per_iter", agent.steps_per_iter),
+        BUMP("/agent/batch_size", agent.batch_size),
+        BUMP("/agent/replay_capacity", agent.replay_capacity),
+        BUMP("/agent/warmup", agent.warmup),
+        BUMP("/agent/target_sync_iters", agent.target_sync_iters),
+        BUMP("/agent/grad_clip", agent.grad_clip),
+        BUMP("/agent/eps_start", agent.eps_start),
+        BUMP("/agent/eps_end", agent.eps_end),
+        BUMP("/agent/eps_decay_iters", agent.eps_decay_iters),
+        BUMP("/agent/noise_std", agent.noise_std),
+        BUMP("/agent/tau", agent.tau),
+        BUMP("/agent/value_coef", agent.value_coef),
+        BUMP("/agent/entropy_coef", agent.entropy_coef),
+        BUMP("/agent/gae_lambda", agent.gae_lambda),
+        BUMP("/agent/ppo_clip", agent.ppo_clip),
+        BUMP("/agent/init_log_std", agent.init_log_std),
+        BUMP("/wire_model_bytes", wire_model_bytes),
+        BUMP("/profile/jitter_cv", profile.jitter_cv),
+        BUMP("/overhead/send_ns", overhead.send),
+        BUMP("/overhead/recv_ns", overhead.recv),
+        BUMP("/iswitch_overhead/send_ns", iswitch_overhead.send),
+        BUMP("/iswitch_overhead/recv_ns", iswitch_overhead.recv),
+        BUMP("/ps_sum_bytes_per_sec", ps_sum_bytes_per_sec),
+        BUMP("/cluster/edge_link/bandwidth_bps",
+             cluster.edge_link.bandwidth_bps),
+        BUMP("/cluster/edge_link/propagation_ns",
+             cluster.edge_link.propagation),
+        BUMP("/cluster/edge_link/loss_prob", cluster.edge_link.loss_prob),
+        BUMP("/cluster/uplink/bandwidth_bps", cluster.uplink.bandwidth_bps),
+        BUMP("/cluster/uplink/propagation_ns", cluster.uplink.propagation),
+        BUMP("/cluster/uplink/loss_prob", cluster.uplink.loss_prob),
+        BUMP("/cluster/core_link/bandwidth_bps",
+             cluster.core_link.bandwidth_bps),
+        BUMP("/cluster/core_link/propagation_ns",
+             cluster.core_link.propagation),
+        BUMP("/cluster/core_link/loss_prob", cluster.core_link.loss_prob),
+        BUMP("/cluster/per_rack", cluster.per_rack),
+        BUMP("/cluster/racks_per_pod", cluster.racks_per_pod),
+        BUMP("/cluster/accel/clock_hz", cluster.accel.clock_hz),
+        BUMP("/cluster/accel/burst_bytes", cluster.accel.burst_bytes),
+        BUMP("/cluster/accel/fixed_latency_ns", cluster.accel.fixed_latency),
+        BUMP("/cluster/accel/num_slots", cluster.accel.num_slots),
+        BUMP("/cluster/switch/forwarding_latency_ns",
+             cluster.switch_cfg.forwarding_latency),
+        BUMP("/cluster/worker_jobs/0", cluster.worker_jobs[0]),
+        FLIP("/cluster/ha/with_backup", cluster.ha.with_backup),
+        {"/cluster/ha/repl_mode",
+         [](Cfg &c) {
+             c.cluster.ha.repl_mode = core::ReplicationMode::kBatchedLazy;
+         }},
+        BUMP("/cluster/ha/staleness_window_ns", cluster.ha.staleness_window),
+        BUMP("/cluster/ha/heartbeat_period_ns", cluster.ha.heartbeat_period),
+        BUMP("/cluster/ha/miss_threshold", cluster.ha.miss_threshold),
+        FLIP("/use_tree", use_tree),
+        FLIP("/use_fat_tree", use_fat_tree),
+        FLIP("/shard", shard),
+        BUMP("/shard_threads", shard_threads),
+        BUMP("/seed", seed),
+        BUMP("/staleness_bound", staleness_bound),
+        BUMP("/ps_shards", ps_shards),
+        BUMP("/agg_threshold", agg_threshold),
+        {"/precision",
+         [](Cfg &c) { c.precision = net::Precision::kInt32; }},
+        BUMP("/stop/max_iterations", stop.max_iterations),
+        {"/stop/target_reward",
+         [](Cfg &c) { c.stop.target_reward = 195.0; }},
+        BUMP("/stop/min_episodes", stop.min_episodes),
+        BUMP("/stop/max_sim_time_ns", stop.max_sim_time),
+        BUMP("/curve_every", curve_every),
+        BUMP("/faults/gilbert_elliott/p_good_to_bad", faults.ge.p_good_to_bad),
+        BUMP("/faults/gilbert_elliott/p_bad_to_good", faults.ge.p_bad_to_good),
+        BUMP("/faults/gilbert_elliott/loss_good", faults.ge.loss_good),
+        BUMP("/faults/gilbert_elliott/loss_bad", faults.ge.loss_bad),
+        BUMP("/faults/extra_loss", faults.extra_loss),
+        BUMP("/faults/duplicate_prob", faults.duplicate_prob),
+        BUMP("/faults/reorder_prob", faults.reorder_prob),
+        BUMP("/faults/reorder_delay_ns", faults.reorder_delay),
+        BUMP("/faults/link_down/0/worker", faults.link_down[0].worker),
+        BUMP("/faults/link_down/0/down_at_ns", faults.link_down[0].down_at),
+        BUMP("/faults/link_down/0/up_at_ns", faults.link_down[0].up_at),
+        BUMP("/faults/crashes/0/worker", faults.crashes[0].worker),
+        BUMP("/faults/crashes/0/crash_at_ns", faults.crashes[0].crash_at),
+        BUMP("/faults/crashes/0/rejoin_at_ns", faults.crashes[0].rejoin_at),
+        FLIP("/faults/crashes/0/announce", faults.crashes[0].announce),
+        BUMP("/faults/stragglers/0/worker", faults.stragglers[0].worker),
+        BUMP("/faults/stragglers/0/slowdown", faults.stragglers[0].slowdown),
+        BUMP("/faults/stragglers/0/from_ns", faults.stragglers[0].from),
+        BUMP("/faults/stragglers/0/until_ns", faults.stragglers[0].until),
+        BUMP("/faults/switch_crashes/0/crash_at_ns",
+             faults.switch_crashes[0].crash_at),
+        BUMP("/faults/switch_crashes/0/rejoin_at_ns",
+             faults.switch_crashes[0].rejoin_at),
+        BUMP("/faults/control_partitions/0/from_ns",
+             faults.control_partitions[0].from),
+        BUMP("/faults/control_partitions/0/until_ns",
+             faults.control_partitions[0].until),
+        BUMP("/retx/timeout_ns", retx.timeout),
+        BUMP("/retx/backoff", retx.backoff),
+        BUMP("/retx/max_retries", retx.max_retries),
+        BUMP("/retx/max_timeout_ns", retx.max_timeout),
+    };
+#undef BUMP
+#undef FLIP
+    for (std::size_t i = 0; i < dist::kNumComponents; ++i)
+        rows.push_back(
+            {std::string("/profile/mean_ns/") +
+                 dist::componentName(static_cast<dist::IterComponent>(i)),
+             [i](Cfg &c) { c.profile.mean[i] += 1; }});
+
+    std::map<std::string, std::string> base_leaves;
+    leaves(configToJson(base), "", base_leaves);
+    std::set<SpecKey> keys{SpecKey::of(base)};
+    std::set<std::string> covered;
+    for (const Row &row : rows) {
+        Cfg c = base;
+        row.apply(c);
+        std::map<std::string, std::string> got;
+        leaves(configToJson(c), "", got);
+        ASSERT_EQ(got.size(), base_leaves.size()) << row.leaf;
+        for (const auto &[path, value] : base_leaves) {
+            ASSERT_TRUE(got.count(path)) << row.leaf << " drops " << path;
+            EXPECT_EQ(got.at(path) != value, path == row.leaf)
+                << row.leaf << " vs " << path;
+        }
+        EXPECT_TRUE(keys.insert(SpecKey::of(c)).second) << row.leaf;
+        covered.insert(row.leaf);
+    }
+    for (const auto &[path, value] : base_leaves)
+        EXPECT_TRUE(covered.count(path)) << "no row changes " << path;
 }
 
 TEST(Runner, FaultySpecDoesNotAbortTheSweep)
