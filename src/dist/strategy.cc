@@ -575,6 +575,11 @@ JobBase::finishRun(std::string error)
     if (global_iters_ > 0)
         res.perf["allocs_per_iteration"] =
             fresh_allocs / static_cast<double>(global_iters_);
+    // Event-queue depth: how many events were pending at once, the
+    // largest over the shard domains. Engine state, not experiment
+    // state, like the window counters below.
+    res.perf["peak_pending_events"] =
+        static_cast<double>(sim_->peakPendingEvents());
     // Sharded-engine loop counters. The window/skip/batch counts are
     // deterministic, but they describe the engine, not the experiment,
     // and mailbox contention is genuinely scheduling-dependent — so

@@ -207,16 +207,15 @@ void
 VectorAssembler::reset(WireFormat fmt)
 {
     fmt_ = fmt;
-    data_.assign(fmt_.logical_floats, 0.0f);
-    seen_.clear();
-    first_missing_ = 0;
+    reset();
 }
 
 void
 VectorAssembler::reset()
 {
     data_.assign(fmt_.logical_floats, 0.0f);
-    seen_.clear();
+    seen_.assign(fmt_.segments(), false);
+    received_ = 0;
     first_missing_ = 0;
 }
 
@@ -226,9 +225,11 @@ VectorAssembler::offer(const net::ChunkPayload &chunk, std::uint64_t seg_base)
     const std::uint64_t seg = chunk.seg - seg_base;
     if (seg >= fmt_.segments())
         return false; // not ours / malformed
-    if (!seen_.insert(seg).second)
+    if (seen_[seg])
         return false; // duplicate
-    while (seen_.count(first_missing_) != 0)
+    seen_[seg] = true;
+    ++received_;
+    while (first_missing_ < seen_.size() && seen_[first_missing_])
         ++first_missing_; // advance the contiguous-prefix watermark
     const std::uint64_t begin = seg * fmt_.floatsPerSeg();
     const std::size_t avail =
@@ -268,7 +269,10 @@ MultiRoundAssembler::offer(const net::ChunkPayload &chunk)
     // First-fit in O(1): the number of times this seg has arrived IS
     // the absolute index of the oldest round still missing it (rounds
     // are only popped once complete, so every popped round had every
-    // seg — arrivals_[seg] >= popped_ always holds).
+    // seg — arrivals_[seg] >= popped_ always holds). A foreign index
+    // has no counter, and must not touch one: it is rejected first.
+    if (chunk.seg >= arrivals_.size())
+        return frontComplete();
     const std::uint64_t target = arrivals_[chunk.seg]++;
     const std::uint64_t idx = target - popped_;
     if (idx == rounds_.size())
@@ -302,7 +306,7 @@ VectorAssembler::missingSegments() const
 {
     std::vector<std::uint64_t> out;
     for (std::uint64_t seg = 0; seg < fmt_.segments(); ++seg)
-        if (!seen_.count(seg))
+        if (!seen_[seg])
             out.push_back(seg);
     return out;
 }

@@ -18,8 +18,6 @@
 #include <deque>
 #include <functional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/protocol.hh"
@@ -280,11 +278,15 @@ class VectorAssembler
      */
     bool offer(const net::ChunkPayload &chunk, std::uint64_t seg_base = 0);
 
-    bool complete() const { return seen_.size() == fmt_.segments(); }
+    bool complete() const { return received_ == fmt_.segments(); }
 
     /** True if segment @p seg has already been received. */
-    bool hasSegment(std::uint64_t seg) const { return seen_.count(seg) != 0; }
-    std::size_t segmentsReceived() const { return seen_.size(); }
+    bool
+    hasSegment(std::uint64_t seg) const
+    {
+        return seg < seen_.size() && seen_[seg];
+    }
+    std::size_t segmentsReceived() const { return received_; }
     const std::vector<float> &vector() const { return data_; }
     const WireFormat &format() const { return fmt_; }
 
@@ -301,7 +303,8 @@ class VectorAssembler
   private:
     WireFormat fmt_;
     std::vector<float> data_;
-    std::unordered_set<std::uint64_t> seen_;
+    std::vector<bool> seen_; ///< seen_[seg]: segment seg has landed
+    std::uint64_t received_ = 0;
     std::uint64_t first_missing_ = 0;
 };
 
@@ -317,17 +320,20 @@ class MultiRoundAssembler
 {
   public:
     MultiRoundAssembler() = default;
-    explicit MultiRoundAssembler(WireFormat fmt) : fmt_(fmt) {}
+    explicit MultiRoundAssembler(WireFormat fmt) { reset(fmt); }
 
     void reset(WireFormat fmt)
     {
         fmt_ = fmt;
         rounds_.clear();
-        arrivals_.clear();
+        arrivals_.assign(fmt_.segments(), 0);
         popped_ = 0;
     }
 
-    /** Offer a segment; returns true if the *front* round is complete. */
+    /**
+     * Offer a segment; returns true if the *front* round is complete.
+     * A segment index outside the format is ignored.
+     */
     bool offer(const net::ChunkPayload &chunk);
 
     bool frontComplete() const
@@ -350,7 +356,7 @@ class MultiRoundAssembler
     WireFormat fmt_;
     std::deque<VectorAssembler> rounds_;
     /** arrivals_[seg] = rounds that already hold seg (absolute). */
-    std::unordered_map<std::uint64_t, std::uint64_t> arrivals_;
+    std::vector<std::uint64_t> arrivals_;
     std::uint64_t popped_ = 0; ///< completed rounds retired so far
 };
 

@@ -20,8 +20,8 @@ Link::connect(Node *a, std::size_t a_port, Node *b, std::size_t b_port)
 {
     if (ends_[0].node || ends_[1].node)
         throw std::logic_error("Link already connected: " + name_);
-    ends_[0] = End{a, a_port, 0};
-    ends_[1] = End{b, b_port, 0};
+    ends_[0] = End{a, a_port, 0, {}};
+    ends_[1] = End{b, b_port, 0, {}};
     a->attachLink(a_port, this);
     b->attachLink(b_port, this);
 }
@@ -74,6 +74,7 @@ Link::transmit(Node *from, PacketPtr pkt)
     }
 
     sim::TimeNs extra = 0;
+    bool eager = false;
     if (channel_ != nullptr) {
         const ChannelVerdict v = channel_->onFrame(*this, pkt);
         if (v.drop) {
@@ -85,28 +86,64 @@ Link::transmit(Node *from, PacketPtr pkt)
         extra = v.delay;
         if (v.duplicate)
             deliverAt(done + cfg_.propagation + v.dup_delay, rx, pkt);
+        eager = v.delay != 0 || v.duplicate;
     }
 
-    deliverAt(done + cfg_.propagation + extra, rx, pkt);
+    const sim::TimeNs when = done + cfg_.propagation + extra;
+    // An undelayed frame lands after every undelayed frame sent before
+    // it on this direction, so it waits in the FIFO holding the rank it
+    // would have been scheduled with now. A rank is only available in
+    // the receiver's own domain (0 otherwise): handoffs stay eager.
+    const std::uint64_t seq =
+        eager ? 0 : sim_.reserveSeq(rx.node->domain());
+    if (seq == 0) {
+        deliverAt(when, rx, pkt);
+        return;
+    }
+    rx.inbound.push_back(Flight{when, seq, std::move(pkt)});
+    if (rx.inbound.size() == 1)
+        armHead(rx);
+}
+
+void
+Link::armHead(End &rx)
+{
+    const Flight &head = rx.inbound.front();
+    sim_.scheduleReserved(rx.node->domain(), head.when, head.seq,
+                          [this, &rx] { deliverHead(rx); });
+}
+
+void
+Link::deliverHead(End &rx)
+{
+    PacketPtr pkt = std::move(rx.inbound.front().pkt);
+    rx.inbound.pop_front();
+    // Arm first, so the FIFO is non-empty exactly when its head is
+    // queued, even if deliver() sends onto this direction.
+    if (!rx.inbound.empty())
+        armHead(rx);
+    land(rx, std::move(pkt));
 }
 
 void
 Link::deliverAt(sim::TimeNs when, const End &rx, const PacketPtr &pkt)
 {
-    Node *dst_node = rx.node;
-    const std::size_t dst_port = rx.port;
     // The delivery event belongs to the *receiver's* shard domain:
     // this is the single point where causality crosses a domain
     // boundary, and the propagation delay baked into `when` is what
     // funds the engine's lookahead. atInDomain degenerates to a plain
     // schedule on un-sharded simulations.
-    sim_.atInDomain(dst_node->domain(), when,
-                    [this, dst_node, dst_port, pkt] {
-                        delivered_.fetch_add(1, std::memory_order_relaxed);
-                        if (tap_)
-                            tap_(LinkEvent::kDeliver, pkt);
-                        dst_node->deliver(pkt, dst_port);
-                    });
+    sim_.atInDomain(rx.node->domain(), when,
+                    [this, &rx, pkt] { land(rx, pkt); });
+}
+
+void
+Link::land(const End &rx, PacketPtr pkt)
+{
+    delivered_.fetch_add(1, std::memory_order_relaxed);
+    if (tap_)
+        tap_(LinkEvent::kDeliver, pkt);
+    rx.node->deliver(std::move(pkt), rx.port);
 }
 
 } // namespace isw::net

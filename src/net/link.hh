@@ -9,6 +9,7 @@
 
 #include <array>
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <string>
 
@@ -66,6 +67,14 @@ struct LinkConfig
  * transmitting when the previous frame's last bit left, occupies the
  * pipe for wireBytes*8/bandwidth, then arrives propagation later
  * (store-and-forward at the receiver).
+ *
+ * Undelayed frames therefore land in transmit order, so each direction
+ * keeps them in an in-flight FIFO with only the head's delivery in the
+ * event queue (DESIGN.md §9). Each frame reserves its tie-break rank
+ * when sent, which keeps the delivery order exactly that of one event
+ * per frame scheduled at transmit. Frames a ChannelModel delays or
+ * duplicates, and frames handed to another shard domain, are scheduled
+ * individually at transmit instead.
  */
 class Link
 {
@@ -119,15 +128,33 @@ class Link
     }
 
   private:
+    /** An undelayed frame in flight, with its reserved delivery rank. */
+    struct Flight
+    {
+        sim::TimeNs when;
+        std::uint64_t seq;
+        PacketPtr pkt;
+    };
+
     struct End
     {
         Node *node = nullptr;
         std::size_t port = 0;
         sim::TimeNs busy_until = 0; ///< egress pipe free time
+        /** FIFO-path frames headed to this end, in delivery order; only
+         *  the front one's delivery is queued. Touched only from this
+         *  end's shard domain (or during setup). */
+        std::deque<Flight> inbound;
     };
 
     int endIndexOf(const Node *n) const;
     void deliverAt(sim::TimeNs when, const End &rx, const PacketPtr &pkt);
+    /** Queue the delivery of @p rx's inbound head at its reserved rank. */
+    void armHead(End &rx);
+    /** Deliver @p rx's inbound head and arm the next one. */
+    void deliverHead(End &rx);
+    /** Hand @p pkt to @p rx's node: the last bit has arrived. */
+    void land(const End &rx, PacketPtr pkt);
 
     sim::Simulation &sim_;
     std::string name_;

@@ -13,13 +13,8 @@ constexpr std::size_t kArity = 4;
 } // namespace
 
 EventId
-EventQueue::schedule(TimeNs when, Callback cb)
+EventQueue::insert(TimeNs when, std::uint64_t seq, Callback cb)
 {
-    if (when < now_)
-        throw std::logic_error("EventQueue: scheduling into the past");
-    if (!cb)
-        throw std::invalid_argument("EventQueue: null callback");
-
     std::uint32_t slot;
     if (!free_slots_.empty()) {
         slot = free_slots_.back();
@@ -32,7 +27,7 @@ EventQueue::schedule(TimeNs when, Callback cb)
     }
     SlotRec &rec = slots_[slot];
     rec.cb = std::move(cb);
-    const std::uint64_t key = next_seq_++ << kSlotBits | slot;
+    const std::uint64_t key = seq << kSlotBits | slot;
     rec.live_key = key;
 
     const Entry e{when, key};
@@ -44,11 +39,22 @@ EventQueue::schedule(TimeNs when, Callback cb)
         tail_head_ = 0;
         tail_.push_back(e);
     } else if (!earlier(e, tail_.back())) {
+        // A tail that never drains would otherwise keep every entry it
+        // ever held. Dropping the consumed prefix once it is at least
+        // half the vector moves at most as many entries as were popped
+        // since the last reclaim: amortized O(1).
+        if (tail_head_ >= kTailReclaimMin &&
+            2 * tail_head_ >= tail_.size()) {
+            const auto consumed = static_cast<std::ptrdiff_t>(tail_head_);
+            tail_.erase(tail_.begin(), tail_.begin() + consumed);
+            tail_head_ = 0;
+        }
         tail_.push_back(e);
     } else {
         pushHeap(e);
     }
-    ++pending_;
+    if (++pending_ > peak_pending_)
+        peak_pending_ = pending_;
     return key + 1;
 }
 

@@ -16,7 +16,12 @@
  *    fixed-latency hops, scheduleAfter chains) in O(1), and an inline
  *    4-ary array heap for out-of-order arrivals — fewer levels and
  *    far cheaper sifts than the binary std::priority_queue of
- *    std::function events it replaces.
+ *    std::function events it replaces. The tail's consumed prefix is
+ *    reclaimed in amortized O(1), so its storage stays proportional to
+ *    its live entries even when it never drains.
+ *  - A tie-break rank can be reserved now and its event queued later
+ *    (reserveSeq / scheduleReserved): the event then runs exactly
+ *    where an eager schedule at reservation time would have run it.
  *  - Cancellation is generation-tagged: an event handle encodes its
  *    unique (seq, slot) key; cancel() is an O(1) key mismatch — no
  *    hash-set insert, no tombstone growth — and stale handles (fired
@@ -28,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/small_fn.hh"
@@ -73,6 +79,13 @@ class EventQueue
     /** True when no runnable events remain. */
     bool empty() const { return pending_ == 0; }
 
+    /** Largest pending() seen over this queue's lifetime. */
+    std::size_t peakPending() const { return peak_pending_; }
+
+    /** Ordering entries the monotone tail holds storage for (a memory
+     *  diagnostic: stays within a small multiple of its live ones). */
+    std::size_t tailCapacity() const { return tail_.capacity(); }
+
     /** Events executed over this queue's lifetime. */
     std::uint64_t executed() const { return executed_; }
 
@@ -93,7 +106,34 @@ class EventQueue
      * @param cb Callback invoked when the event fires.
      * @return Handle usable with cancel().
      */
-    EventId schedule(TimeNs when, Callback cb);
+    EventId
+    schedule(TimeNs when, Callback cb)
+    {
+        check(when, cb);
+        return insert(when, next_seq_++, std::move(cb));
+    }
+
+    /**
+     * Reserve the tie-break rank the next schedule() would take, for a
+     * later scheduleReserved(). Ranks are never reused, reserved or not.
+     */
+    std::uint64_t reserveSeq() { return next_seq_++; }
+
+    /**
+     * Schedule @p cb at @p when with the rank @p seq from reserveSeq():
+     * among events at equal times it runs where a schedule() made at
+     * reservation time would have run it. The caller must queue a
+     * reserved event before the queue can pop anything that follows it
+     * in (time, rank) order — e.g. when the event ahead of it fires.
+     */
+    EventId
+    scheduleReserved(TimeNs when, std::uint64_t seq, Callback cb)
+    {
+        check(when, cb);
+        if (seq == 0 || seq >= next_seq_)
+            throw std::logic_error("EventQueue: rank was never reserved");
+        return insert(when, seq, std::move(cb));
+    }
 
     /** Schedule @p cb to run @p delay after the current time. */
     EventId scheduleAfter(TimeNs delay, Callback cb)
@@ -145,6 +185,9 @@ class EventQueue
                           std::size_t max_events = SIZE_MAX);
 
   private:
+    /** Consumed tail prefix worth reclaiming (see insert()). */
+    static constexpr std::size_t kTailReclaimMin = 1024;
+
     /** Slot index bits inside a packed key (max 16M pending events). */
     static constexpr std::uint64_t kSlotBits = 24;
     static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
@@ -191,6 +234,18 @@ class EventQueue
         free_slots_.push_back(static_cast<std::uint32_t>(key & kSlotMask));
     }
 
+    void
+    check(TimeNs when, const Callback &cb) const
+    {
+        if (when < now_)
+            throw std::logic_error("EventQueue: scheduling into the past");
+        if (!cb)
+            throw std::invalid_argument("EventQueue: null callback");
+    }
+
+    /** Queue @p cb at (@p when, @p seq); the arguments are checked. */
+    EventId insert(TimeNs when, std::uint64_t seq, Callback cb);
+
     void pushHeap(const Entry &e);
     /** Remove the heap root (which must exist). */
     Entry popHeap();
@@ -206,6 +261,7 @@ class EventQueue
     TimeNs now_ = 0;
     std::uint64_t next_seq_ = 1;
     std::size_t pending_ = 0;
+    std::size_t peak_pending_ = 0;
     std::uint64_t executed_ = 0;
     std::vector<Entry> heap_; ///< 4-ary min-heap on (when, key)
     std::vector<Entry> tail_; ///< sorted run of monotone arrivals

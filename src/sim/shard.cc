@@ -141,6 +141,15 @@ ShardedEngine::executed() const
     return n;
 }
 
+std::size_t
+ShardedEngine::peakPending() const
+{
+    std::size_t peak = 0;
+    for (const auto &d : domains_)
+        peak = std::max(peak, d.q.peakPending());
+    return peak;
+}
+
 std::uint64_t
 ShardedEngine::domainsSkipped() const
 {

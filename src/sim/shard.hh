@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -145,6 +146,38 @@ class ShardedEngine
     }
 
     /**
+     * Reserve a tie-break rank in domain @p d's queue for a later
+     * scheduleReserved() there (EventQueue::reserveSeq). Valid where
+     * schedule() into @p d is a plain queue insert: from inside @p d
+     * (any domain of a one-domain engine) or from the owning thread
+     * between windows. From inside another domain it returns 0 and
+     * reserves nothing: ranks are queue-local, and a cross-domain
+     * handoff takes its rank at the barrier merge instead.
+     */
+    std::uint64_t
+    reserveSeq(DomainId d)
+    {
+        EventQueue *q = localQueue(d);
+        return q != nullptr ? q->reserveSeq() : 0;
+    }
+
+    /**
+     * Queue @p cb in domain @p d at @p when with a rank reserved there
+     * by reserveSeq(). Same calling contexts as reserveSeq(); from
+     * inside another domain it throws std::logic_error.
+     */
+    EventId
+    scheduleReserved(DomainId d, TimeNs when, std::uint64_t seq,
+                     EventQueue::Callback &&cb)
+    {
+        EventQueue *q = localQueue(d);
+        if (q == nullptr)
+            throw std::logic_error(
+                "ShardedEngine: reserved rank used outside its domain");
+        return q->scheduleReserved(when, seq, std::move(cb));
+    }
+
+    /**
      * Domain to charge work initiated on this thread to: the executing
      * domain during a window, domain 0 otherwise (setup).
      */
@@ -200,6 +233,8 @@ class ShardedEngine
     bool empty() const;
     std::size_t pending() const;
     std::uint64_t executed() const;
+    /** Largest pending count any one domain's queue reached. */
+    std::size_t peakPending() const;
 
     /**
      * Per-domain enter/leave hooks, invoked on the worker thread
@@ -293,6 +328,20 @@ class ShardedEngine
     executing() const
     {
         return tls_engine_ == this ? tls_dom_ : nullptr;
+    }
+
+    /** The queue a schedule() into @p d from this thread inserts into
+     *  directly; nullptr from inside another domain (a handoff). */
+    EventQueue *
+    localQueue(DomainId d)
+    {
+        if (Domain *here = executing())
+            return here->id == d || single_ ? &here->q : nullptr;
+        if (single_)
+            return &domains_.front().q;
+        if (d >= domains_.size())
+            throw std::out_of_range("ShardedEngine: no such domain");
+        return &domains_[d].q;
     }
 
     /** schedule() for everything but an in-domain call: setup-context

@@ -97,6 +97,21 @@ class Simulation
     }
 
     /**
+     * Reserve a tie-break rank in domain @p d for a later
+     * scheduleReserved() (sim/shard.hh): 0 when this thread executes
+     * another domain, whose events reach @p d only through a handoff.
+     */
+    std::uint64_t reserveSeq(DomainId d) { return engine_->reserveSeq(d); }
+
+    /** Schedule at absolute time in domain @p d with a rank reserved
+     *  there by reserveSeq(d). */
+    EventId scheduleReserved(DomainId d, TimeNs when, std::uint64_t seq,
+                             EventQueue::Callback cb)
+    {
+        return engine_->scheduleReserved(d, when, seq, std::move(cb));
+    }
+
+    /**
      * Cancel an event by handle. Sharded: only valid from the domain
      * that scheduled it (handles are queue-local, so a foreign handle
      * silently hits an unrelated event); kInvalidEventId is always a
@@ -138,6 +153,9 @@ class Simulation
 
     /** Pending events (aggregated across domains + mailboxes). */
     std::size_t pendingEvents() const { return engine_->pending(); }
+
+    /** Largest pending-event count any one domain reached. */
+    std::size_t peakPendingEvents() const { return engine_->peakPending(); }
 
     /** True when no runnable events remain anywhere. */
     bool queueEmpty() const { return engine_->empty(); }

@@ -132,6 +132,29 @@ TEST(VectorAssembler, IgnoresForeignSegments)
     EXPECT_EQ(rx.segmentsReceived(), 0u);
 }
 
+TEST(MultiRoundAssembler, IgnoresForeignSegmentsAfterPop)
+{
+    const WireFormat fmt = WireFormat::forVector(4, 16, true);
+    ASSERT_EQ(fmt.segments(), 1u);
+    MultiRoundAssembler rx(fmt);
+    net::ChunkPayload foreign;
+    foreign.seg = 99;
+    // Before any round: a foreign index must not open a round.
+    EXPECT_FALSE(rx.offer(foreign));
+    EXPECT_EQ(rx.pendingRounds(), 0u);
+
+    const std::vector<float> r1(4, 1.0f), r2(4, 2.0f);
+    EXPECT_TRUE(rx.offer(chunkOf(fmt, r1, 0)));
+    EXPECT_EQ(rx.popFront()[0], 1.0f);
+    // After a pop the index has no arrival counter to read: it must be
+    // rejected without touching the round bookkeeping.
+    EXPECT_FALSE(rx.offer(foreign));
+    EXPECT_EQ(rx.pendingRounds(), 0u);
+    EXPECT_TRUE(rx.offer(chunkOf(fmt, r2, 0)));
+    EXPECT_EQ(rx.popFront()[0], 2.0f);
+    EXPECT_EQ(rx.pendingRounds(), 0u);
+}
+
 TEST(MultiRoundAssembler, SeparatesInterleavedRounds)
 {
     const WireFormat fmt = WireFormat::forVector(732, 732 * 4, true);

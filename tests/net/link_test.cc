@@ -1,5 +1,10 @@
 /** @file Unit tests for link serialization/propagation/loss modeling. */
 
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "net/host.hh"
@@ -16,13 +21,35 @@ struct LinkFixture : ::testing::Test
     Host b{s, "b", MacAddr(2), Ipv4Addr(10, 0, 0, 2)};
 
     PacketPtr
-    raw(std::uint32_t bytes)
+    raw(std::uint32_t bytes, std::uint64_t tag = 0)
     {
         Packet p;
         p.ip.src = a.ip();
         p.ip.dst = b.ip();
-        p.payload = RawPayload{bytes, 0};
+        p.payload = RawPayload{bytes, tag};
         return makePacket(std::move(p));
+    }
+};
+
+/** One delivery as observed: (time, receiving node, frame tag). */
+using Arrival = std::tuple<sim::TimeNs, std::string, std::uint64_t>;
+
+std::uint64_t
+tagOf(const PacketPtr &pkt)
+{
+    return std::get<RawPayload>(pkt->payload).tag;
+}
+
+/** Channel model with a fixed verdict per frame tag (others pass). */
+struct TagChannel : ChannelModel
+{
+    std::map<std::uint64_t, ChannelVerdict> verdicts;
+
+    ChannelVerdict
+    onFrame(const Link &, const PacketPtr &pkt) override
+    {
+        const auto it = verdicts.find(tagOf(pkt));
+        return it != verdicts.end() ? it->second : ChannelVerdict{};
     }
 };
 
@@ -163,6 +190,71 @@ TEST_F(LinkFixture, HostSendToStampsHeaders)
     EXPECT_EQ(got->udp.src_port, 42);
     EXPECT_EQ(got->ip.tos, kTosData);
     EXPECT_EQ(got->eth.src, a.mac());
+}
+
+TEST_F(LinkFixture, SameNanosecondArrivalsFromTwoLinksKeepTransmitOrder)
+{
+    // a -> c and b -> c. With 1000-byte frames (800 ns at 10 Gb/s), a's
+    // second frame and b's first both land at 2100 ns; a sent first, so
+    // a's frame must be delivered first even though it sat behind a's
+    // first frame in flight. Likewise b's second frame, sent before a's
+    // third, lands with it at 2900 ns and goes first.
+    Host c{s, "c", MacAddr(3), Ipv4Addr(10, 0, 0, 3), 2};
+    Link ac(s, "ac", LinkConfig{10e9, 500, 0.0});
+    Link bc(s, "bc", LinkConfig{10e9, 1300, 0.0});
+    ac.connect(&a, 0, &c, 0);
+    bc.connect(&b, 0, &c, 1);
+    std::vector<Arrival> log;
+    c.setReceiveHandler([&](PacketPtr p) {
+        log.emplace_back(s.now(), "c", tagOf(p));
+    });
+    a.send(raw(934, 1));  // lands 1300
+    a.send(raw(934, 2));  // lands 2100
+    b.send(raw(934, 11)); // lands 2100
+    b.send(raw(934, 12)); // lands 2900
+    a.send(raw(934, 3));  // lands 2900
+    s.run();
+    const std::vector<Arrival> want{
+        {1300, "c", 1}, {2100, "c", 2}, {2100, "c", 11},
+        {2900, "c", 12}, {2900, "c", 3},
+    };
+    EXPECT_EQ(log, want);
+}
+
+TEST_F(LinkFixture, DelayedAndDuplicatedFramesInterleaveInTransmitOrder)
+{
+    // a sends frames 0..5 back to back: 800 ns each, 500 ns propagation,
+    // so undelayed frame i lands at 800 * (i + 1) + 500. The channel
+    // delays frame 1 by 1600 ns (to 3700, with frame 3) and duplicates
+    // frame 4 with the copy 800 ns late (to 5300, with frame 5). On
+    // frame 0, b answers with a 2375-byte frame (1900 ns), which lands
+    // at a also at 3700. Ties run in transmit order: frame 1 and frame 3
+    // were sent at 0, the answer at 1300; frame 4's copy before frame 5.
+    Link l(s, "l", LinkConfig{10e9, 500, 0.0});
+    l.connect(&a, 0, &b, 0);
+    TagChannel channel;
+    channel.verdicts[1].delay = 1600;
+    channel.verdicts[4].duplicate = true;
+    channel.verdicts[4].dup_delay = 800;
+    l.setChannel(&channel);
+    std::vector<Arrival> log;
+    a.setReceiveHandler([&](PacketPtr p) {
+        log.emplace_back(s.now(), "a", tagOf(p));
+    });
+    b.setReceiveHandler([&](PacketPtr p) {
+        log.emplace_back(s.now(), "b", tagOf(p));
+        if (tagOf(p) == 0)
+            b.send(raw(2375 - 66, 100));
+    });
+    for (std::uint64_t tag = 0; tag < 6; ++tag)
+        a.send(raw(934, tag));
+    s.run();
+    const std::vector<Arrival> want{
+        {1300, "b", 0}, {2900, "b", 2}, {3700, "b", 1}, {3700, "b", 3},
+        {3700, "a", 100}, {4500, "b", 4}, {5300, "b", 4}, {5300, "b", 5},
+    };
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(l.delivered(), 8u);
 }
 
 } // namespace

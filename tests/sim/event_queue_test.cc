@@ -1,5 +1,7 @@
 /** @file Unit tests for the discrete-event kernel. */
 
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
@@ -254,6 +256,115 @@ TEST(EventQueue, CancelHeadOfMonotoneTail)
     EXPECT_FALSE(a);
     EXPECT_TRUE(b);
     EXPECT_EQ(q.now(), 20u);
+}
+
+TEST(EventQueue, ReservedRanksKeepEagerOrder)
+{
+    // Events 0..11 take their ranks in id order, at equal and distinct
+    // times. The deferred ones form a FIFO, as a link direction's
+    // in-flight frames do: each is queued only when the one before it
+    // runs (the first right away), by which time eager events ranked
+    // after it are already waiting at its timestamp.
+    struct Ev
+    {
+        TimeNs when;
+        bool deferred;
+    };
+    const std::vector<Ev> plan = {
+        {5, false}, {5, true},   {5, false},  {5, true},
+        {5, false}, {7, false},  {10, true},  {10, false},
+        {10, true}, {10, false}, {3, false},  {12, true},
+    };
+
+    // Reference: every event scheduled eagerly, in rank order.
+    EventQueue ref;
+    std::vector<int> want;
+    for (std::size_t id = 0; id < plan.size(); ++id)
+        ref.schedule(plan[id].when, [&want, id] {
+            want.push_back(static_cast<int>(id));
+        });
+    ref.runAll();
+    ASSERT_EQ(want, (std::vector<int>{10, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11}));
+
+    EventQueue q;
+    std::vector<int> got;
+    std::vector<std::pair<std::size_t, std::uint64_t>> fifo; // (id, rank)
+    std::size_t next = 0; // fifo entry queued next
+    std::function<void()> armNext = [&] {
+        if (next == fifo.size())
+            return;
+        const auto [id, seq] = fifo[next++];
+        q.scheduleReserved(plan[id].when, seq, [&got, &armNext, id] {
+            got.push_back(static_cast<int>(id));
+            armNext();
+        });
+    };
+    for (std::size_t id = 0; id < plan.size(); ++id) {
+        if (plan[id].deferred)
+            fifo.emplace_back(id, q.reserveSeq());
+        else
+            q.schedule(plan[id].when, [&got, id] {
+                got.push_back(static_cast<int>(id));
+            });
+    }
+    armNext();
+    q.runAll();
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(q.executed(), plan.size());
+
+    // A reserved rank does not license scheduling into the past, and a
+    // rank that was never handed out is refused.
+    EXPECT_THROW(q.scheduleReserved(q.now() - 1, q.reserveSeq(), [] {}),
+                 std::logic_error);
+    EXPECT_THROW(q.scheduleReserved(q.now(), 1000000, [] {}),
+                 std::logic_error);
+}
+
+TEST(EventQueue, TracksPeakPending)
+{
+    EventQueue q;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 5; ++i)
+        ids.push_back(q.schedule(static_cast<TimeNs>(i), [] {}));
+    q.cancel(ids[4]);
+    q.runOne();
+    q.schedule(10, [] {});
+    EXPECT_EQ(q.pending(), 4u);
+    EXPECT_EQ(q.peakPending(), 5u);
+    q.runAll();
+    EXPECT_EQ(q.peakPending(), 5u);
+}
+
+TEST(EventQueue, TailStorageStaysBoundedWhenItNeverDrains)
+{
+    // kLive chains of monotone events: each firing schedules its
+    // successor kLive ns later, so every event lands on the tail and
+    // the tail never empties. Its storage must track the live entries,
+    // not the 1M entries that ever passed through it.
+    constexpr std::uint64_t kLive = 4096;
+    constexpr std::uint64_t kEvents = std::uint64_t{1} << 20;
+    EventQueue q;
+    std::uint64_t scheduled = 0;
+    struct Chain
+    {
+        EventQueue *q;
+        std::uint64_t *scheduled;
+        void
+        operator()() const
+        {
+            if (*scheduled < kEvents) {
+                ++*scheduled;
+                q->scheduleAfter(kLive, *this);
+            }
+        }
+    };
+    for (std::uint64_t i = 0; i < kLive; ++i) {
+        ++scheduled;
+        q.schedule(i, Chain{&q, &scheduled});
+    }
+    EXPECT_EQ(q.runAll(), kEvents);
+    EXPECT_EQ(q.peakPending(), kLive);
+    EXPECT_LE(q.tailCapacity(), 4 * kLive);
 }
 
 } // namespace

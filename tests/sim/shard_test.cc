@@ -231,6 +231,28 @@ TEST(ShardedEngine, CancelInWorksFromSetupAndOwningDomain)
     EXPECT_FALSE(b_ran);
 }
 
+TEST(ShardedEngine, ReservedRanksStayInTheirDomain)
+{
+    ShardedEngine eng(ShardPlan{2, 100, 1});
+    std::vector<int> order;
+    // Setup context: any domain's queue is reachable directly.
+    const std::uint64_t early = eng.reserveSeq(1);
+    ASSERT_NE(early, 0u);
+    eng.schedule(1, 50, [&order] { order.push_back(2); });
+    eng.scheduleReserved(1, 50, early, [&order] { order.push_back(1); });
+    // From inside domain 0, domain 1's ranks are out of reach: no rank
+    // is handed out, and queueing with one there is refused.
+    std::uint64_t foreign = 1;
+    eng.schedule(0, 10, [&eng, &foreign, early] {
+        foreign = eng.reserveSeq(1);
+        EXPECT_THROW(eng.scheduleReserved(1, 500, early, [] {}),
+                     std::logic_error);
+    });
+    eng.runAll();
+    EXPECT_EQ(foreign, 0u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(SimulationShard, CancelEventInTargetsTheHomeDomain)
 {
     Simulation s{1};
