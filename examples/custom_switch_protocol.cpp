@@ -8,12 +8,10 @@
  */
 
 #include <cstdio>
-#include <sstream>
 
 #include "core/programmable_switch.hh"
 #include "core/protocol.hh"
 #include "net/topology.hh"
-#include "net/trace.hh"
 
 int
 main()
@@ -23,7 +21,6 @@ main()
 
     sim::Simulation s{42};
     net::Topology topo{s};
-    net::PacketTrace trace{s, 64};
 
     // One programmable switch, three worker hosts.
     core::ProgrammableSwitchConfig sw_cfg;
@@ -37,9 +34,6 @@ main()
         topo.connectHost(h, sw, static_cast<std::size_t>(i));
         workers.push_back(h);
     }
-
-    trace.attachAll(topo);
-    trace.setIswitchOnly(true); // capture only protocol traffic
 
     // Wire-format sanity: the Figure 5 codec round-trips real bytes.
     net::ControlPayload join;
@@ -105,18 +99,11 @@ main()
                 "at packet granularity.\n",
                 results);
 
-    std::printf("\npacket trace (iSwitch-plane frames, tail):\n");
-    std::ostringstream os;
-    trace.dump(os);
-    const std::string text = os.str();
-    std::size_t shown = 0, pos = text.size();
-    while (pos > 0 && shown < 6) {
-        const std::size_t prev = text.rfind('\n', pos - 2);
-        pos = prev == std::string::npos ? 0 : prev + 1;
-        ++shown;
-    }
-    std::fputs(text.c_str() + pos, stdout);
-    std::printf("(%llu frames captured in total)\n",
-                static_cast<unsigned long long>(trace.captured()));
+    std::printf("\nper-link traffic (both directions):\n");
+    for (const auto &link : topo.links())
+        std::printf("  %-12s %3llu frames delivered, %5llu bytes\n",
+                    link->name().c_str(),
+                    static_cast<unsigned long long>(link->delivered()),
+                    static_cast<unsigned long long>(link->bytesCarried()));
     return 0;
 }

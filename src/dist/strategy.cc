@@ -267,8 +267,9 @@ JobBase::installFaults()
         // the Join goes out the moment the link is back up. Anchored in
         // the host's home domain: the send must execute on the domain
         // thread owning the host's NIC queues, and the resulting
-        // membership update then rides the ordinary mailbox path to the
-        // fabric domain. One-domain engines ignore the domain.
+        // membership update then rides the ordinary cross-domain
+        // handoff path to the fabric domain. One-domain engines ignore
+        // the domain.
         sim_->atInDomain(h->domain(), c.crash_at, [h, leaf] {
             net::ControlPayload leave;
             leave.action = net::Action::kLeave;
@@ -580,10 +581,9 @@ JobBase::finishRun(std::string error)
     // state, like the window counters below.
     res.perf["peak_pending_events"] =
         static_cast<double>(sim_->peakPendingEvents());
-    // Sharded-engine loop counters. The window/skip/batch counts are
-    // deterministic, but they describe the engine, not the experiment,
-    // and mailbox contention is genuinely scheduling-dependent — so
-    // all of them live in perf (excluded from resultToJson).
+    // Sharded-engine loop counters. They are deterministic, but they
+    // describe the engine, not the experiment, so they live in perf
+    // (excluded from resultToJson).
     if (sim_->sharded()) {
         const sim::ShardedEngine &eng = sim_->engine();
         res.perf["shard_windows"] = static_cast<double>(eng.windows());
@@ -595,8 +595,6 @@ JobBase::finishRun(std::string error)
             static_cast<double>(eng.crossEvents());
         res.perf["shard_cross_batches"] =
             static_cast<double>(eng.crossBatches());
-        res.perf["shard_mailbox_contention"] =
-            static_cast<double>(eng.mailboxContention());
     }
     collectExtras(res);
     return res;

@@ -63,13 +63,9 @@ Link::transmit(Node *from, PacketPtr pkt)
     const sim::TimeNs done = start + txTime(pkt->wireBytes());
     tx.busy_until = done;
     bytes_.fetch_add(pkt->wireBytes(), std::memory_order_relaxed);
-    if (tap_)
-        tap_(LinkEvent::kTx, pkt);
 
     if (cfg_.loss_prob > 0.0 && loss_rng_.bernoulli(cfg_.loss_prob)) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
-        if (tap_)
-            tap_(LinkEvent::kDrop, pkt);
         return; // the pipe time is still consumed: the frame was sent
     }
 
@@ -79,8 +75,6 @@ Link::transmit(Node *from, PacketPtr pkt)
         const ChannelVerdict v = channel_->onFrame(*this, pkt);
         if (v.drop) {
             dropped_.fetch_add(1, std::memory_order_relaxed);
-            if (tap_)
-                tap_(LinkEvent::kDrop, pkt);
             return;
         }
         extra = v.delay;
@@ -141,8 +135,6 @@ void
 Link::land(const End &rx, PacketPtr pkt)
 {
     delivered_.fetch_add(1, std::memory_order_relaxed);
-    if (tap_)
-        tap_(LinkEvent::kDeliver, pkt);
     rx.node->deliver(std::move(pkt), rx.port);
 }
 

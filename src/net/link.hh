@@ -10,7 +10,6 @@
 #include <array>
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <string>
 
 #include "net/packet.hh"
@@ -20,10 +19,6 @@
 namespace isw::net {
 
 class Node;
-
-/** Observable events on a link (see PacketTrace in net/trace.hh). */
-enum class LinkEvent { kTx, kDeliver, kDrop };
-
 class Link;
 
 /** What a ChannelModel decided about one frame. */
@@ -91,16 +86,6 @@ class Link
     sim::TimeNs txTime(std::size_t bytes) const;
 
     /**
-     * Install an observer invoked on every transmit, delivery, and
-     * drop (at the simulated instant of each). Pass an empty function
-     * to detach. Zero cost when unset beyond one branch per frame.
-     */
-    void setTap(std::function<void(LinkEvent, const PacketPtr &)> tap)
-    {
-        tap_ = std::move(tap);
-    }
-
-    /**
      * Install a channel impairment model (non-owning; pass nullptr to
      * detach). Zero cost when unset beyond one branch per frame.
      */
@@ -162,7 +147,6 @@ class Link
     std::array<End, 2> ends_;
     sim::Rng loss_rng_;
     ChannelModel *channel_ = nullptr;
-    std::function<void(LinkEvent, const PacketPtr &)> tap_;
     // On a sharded simulation a boundary link's two directions run on
     // different domain threads; the shared counters stay exact under
     // relaxed atomics (pure tallies, no ordering needed).

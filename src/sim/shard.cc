@@ -35,15 +35,6 @@ ShardedEngine::~ShardedEngine()
     gen_.notify_all();
     for (auto &t : pool_)
         t.join();
-    // Free any mailbox nodes left behind by an aborted run.
-    for (auto &d : domains_) {
-        CrossNode *n = d.inbox.exchange(nullptr, std::memory_order_acquire);
-        while (n != nullptr) {
-            CrossNode *next = n->next;
-            delete n;
-            n = next;
-        }
-    }
 }
 
 EventId
@@ -66,20 +57,17 @@ ShardedEngine::scheduleSlow(DomainId d, TimeNs when,
         throw std::logic_error(
             "ShardedEngine: cross-domain event violates lookahead");
     // Stage in the *source* domain (thread-private, no contention);
-    // flushed as one batch node per destination when this domain's
-    // window slice ends.
-    const std::uint64_t seq = src->send_seq++;
+    // the owning thread merges it after the window's barrier.
+    CrossEvent ce{when, src->id, d, src->send_seq++, std::move(cb)};
     for (auto &entry : src->staged) {
         if (entry.first == d) {
-            entry.second.push_back(
-                CrossEvent{when, src->id, seq, std::move(cb)});
+            entry.second.push_back(std::move(ce));
             return kInvalidEventId;
         }
     }
     src->staged.emplace_back(d, std::vector<CrossEvent>{});
-    src->staged.back().second.push_back(
-        CrossEvent{when, src->id, seq, std::move(cb)});
-    return kInvalidEventId; // mailbox events have no queue key yet
+    src->staged.back().second.push_back(std::move(ce));
+    return kInvalidEventId; // staged events have no queue key yet
 }
 
 bool
@@ -119,15 +107,13 @@ ShardedEngine::empty() const
 std::size_t
 ShardedEngine::pending() const
 {
-    // Owner-thread only, between windows: mailboxes are quiescent and
-    // staging buffers are flushed, so a plain walk is race-free.
+    // Owner-thread only, between windows: no slice is running, so a
+    // plain walk of the queues and staging lists is race-free.
     std::size_t n = 0;
     for (const auto &d : domains_) {
         n += d.q.pending();
-        for (const CrossNode *node =
-                 d.inbox.load(std::memory_order_acquire);
-             node != nullptr; node = node->next)
-            n += node->batch.size();
+        for (const auto &entry : d.staged)
+            n += entry.second.size();
     }
     return n;
 }
@@ -180,58 +166,37 @@ ShardedEngine::crossBatches() const
 }
 
 void
-ShardedEngine::flushStaged(Domain &src)
+ShardedEngine::drainStaged()
 {
-    for (auto &entry : src.staged) {
-        if (entry.second.empty())
-            continue;
-        auto *node = new CrossNode;
-        node->batch = std::move(entry.second);
-        entry.second.clear(); // moved-from: make the reuse explicit
-        Domain &dst = domains_[entry.first];
-        node->next = dst.inbox.load(std::memory_order_relaxed);
-        while (!dst.inbox.compare_exchange_weak(node->next, node,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed))
-            mailbox_contention_.fetch_add(1, std::memory_order_relaxed);
-        ++src.batches_out;
-    }
-}
-
-void
-ShardedEngine::drainInboxes()
-{
-    for (auto &dst : domains_) {
-        // No window is running, but flushes from the just-finished
-        // window were released by other threads: acquire pairs with
-        // their CAS release.
-        CrossNode *head =
-            dst.inbox.exchange(nullptr, std::memory_order_acquire);
-        if (head == nullptr)
-            continue;
-        merge_buf_.clear();
-        while (head != nullptr) {
-            for (auto &ce : head->batch)
+    // No window is running, and the barrier (the done_ handshake, or
+    // one thread) ordered every slice's staging before this read.
+    merge_buf_.clear();
+    for (auto &src : domains_) {
+        for (auto &entry : src.staged) {
+            if (entry.second.empty())
+                continue;
+            ++src.batches_out;
+            for (auto &ce : entry.second)
                 merge_buf_.push_back(std::move(ce));
-            CrossNode *next = head->next;
-            delete head;
-            head = next;
+            entry.second.clear(); // keeps the capacity for the next window
         }
-        // Deterministic merge order: time, then source domain, then
-        // the source's send sequence. Queue FIFO tie-breaking then
-        // reproduces this order for equal timestamps, independent of
-        // thread interleaving and of the stack's node order.
-        std::sort(merge_buf_.begin(), merge_buf_.end(),
-                  [](const CrossEvent &a, const CrossEvent &b) {
-                      if (a.when != b.when)
-                          return a.when < b.when;
-                      if (a.src != b.src)
-                          return a.src < b.src;
-                      return a.seq < b.seq;
-                  });
-        for (auto &ce : merge_buf_)
-            dst.q.schedule(ce.when, std::move(ce.cb));
     }
+    // Deterministic merge order per destination: time, then source
+    // domain, then the source's send sequence. Queue FIFO tie-breaking
+    // then reproduces this order for equal timestamps, independent of
+    // thread interleaving.
+    std::sort(merge_buf_.begin(), merge_buf_.end(),
+              [](const CrossEvent &a, const CrossEvent &b) {
+                  if (a.dst != b.dst)
+                      return a.dst < b.dst;
+                  if (a.when != b.when)
+                      return a.when < b.when;
+                  if (a.src != b.src)
+                      return a.src < b.src;
+                  return a.seq < b.seq;
+              });
+    for (auto &ce : merge_buf_)
+        domains_[ce.dst].q.schedule(ce.when, std::move(ce.cb));
 }
 
 void
@@ -253,19 +218,10 @@ ShardedEngine::runDomainSlice(DomainId d, TimeNs end_exclusive,
         DomainId d;
         ShardedEngine *prev_engine = tls_engine_;
         Domain *prev_dom = tls_dom_;
-        bool left = false;
-        void
-        leave()
-        {
-            if (left)
-                return;
-            left = true;
-            if (eng->leave_)
-                eng->leave_(d);
-        }
         ~SliceGuard()
         {
-            leave();
+            if (eng->leave_)
+                eng->leave_(d);
             tls_engine_ = prev_engine;
             tls_dom_ = prev_dom;
         }
@@ -275,8 +231,6 @@ ShardedEngine::runDomainSlice(DomainId d, TimeNs end_exclusive,
     if (enter_)
         enter_(d);
     dom.q.runWindow(end_exclusive, max_events);
-    guard.leave();
-    flushStaged(dom);
 }
 
 void
@@ -355,7 +309,7 @@ ShardedEngine::runLoop(TimeNs deadline, std::size_t max_events)
 {
     std::size_t total = 0;
     for (;;) {
-        drainInboxes();
+        drainStaged();
         // One scan finds both the window start (global min) and the
         // runner-up: when the runner-up lies beyond the horizon, the
         // window has exactly one active domain and runs serially.

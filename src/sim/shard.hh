@@ -20,13 +20,12 @@
  * no event-level synchronization at all.
  *
  * Cross-domain handoffs produced during a window are *staged* in the
- * source domain (thread-private, zero contention) and flushed once per
- * window slice as a single batch node onto the target domain's
- * lock-free MPSC mailbox (a Treiber stack of batch nodes). Between
- * windows the caller's thread pops every mailbox and merges it into
- * the owning queue in (time, source-domain, source-sequence) order,
- * which makes the merged schedule — and hence the whole run —
- * deterministic and independent of thread count and OS scheduling.
+ * source domain, in one list per destination (thread-private, zero
+ * contention). After the window's barrier the caller's thread reads
+ * every domain's staging lists and merges them into the destination
+ * queues in (time, source-domain, source-sequence) order, which makes
+ * the merged schedule — and hence the whole run — deterministic and
+ * independent of thread count and OS scheduling.
  *
  * Every Simulation runs on this engine. An un-sharded one owns a
  * single domain with an unbounded lookahead: every domain id maps to
@@ -84,7 +83,8 @@ struct ShardPlan
 };
 
 /**
- * The sharded engine: D serial EventQueues + mailboxes + a worker pool.
+ * The sharded engine: D serial EventQueues + staged handoffs + a
+ * worker pool.
  *
  * Threading contract: schedule()/cancelHere()/cancelIn() may be called
  * either from *inside* a domain (a callback executing during a window —
@@ -113,7 +113,7 @@ class ShardedEngine
      * From inside a *different* domain the event is a cross-domain
      * handoff: @p when must honor the lookahead contract (>= the end
      * of the current window) or std::logic_error is thrown, and the
-     * returned id is kInvalidEventId (mailbox events are not
+     * returned id is kInvalidEventId (staged handoffs are not
      * cancellable — they belong to no queue yet).
      */
     EventId
@@ -230,7 +230,11 @@ class ShardedEngine
      *  EventQueue::runUntil) or the queues drain. */
     std::size_t runUntil(TimeNs deadline);
 
+    /** No event left in any queue or staging list (owning thread,
+     *  between runs). */
     bool empty() const;
+    /** Queued events plus staged handoffs not yet merged (owning
+     *  thread, between runs). */
     std::size_t pending() const;
     std::uint64_t executed() const;
     /** Largest pending count any one domain's queue reached. */
@@ -240,7 +244,9 @@ class ShardedEngine
      * Per-domain enter/leave hooks, invoked on the worker thread
      * immediately before/after a domain executes its window slice.
      * Used to swap in per-domain resources (e.g. the thread-local
-     * PacketPool override). Set before the first run.
+     * PacketPool override). The leave hook also runs when a callback
+     * throws, from a destructor, so it must not throw. Set before the
+     * first run.
      */
     using DomainHook = std::function<void(DomainId)>;
     void setDomainHooks(DomainHook enter, DomainHook leave)
@@ -270,17 +276,11 @@ class ShardedEngine
     /** Domain window-slices skipped because the domain had no event
      *  before the window horizon (idle-domain skip). */
     std::uint64_t domainsSkipped() const;
-    /** Cross-domain mailbox handoffs so far. */
+    /** Cross-domain handoffs so far. */
     std::uint64_t crossEvents() const;
-    /** Batch nodes pushed onto mailboxes (handoffs are flushed once
-     *  per source domain, destination, and window). */
+    /** Non-empty staging lists merged at window barriers: one per
+     *  source domain, destination, and window that sent handoffs. */
     std::uint64_t crossBatches() const;
-    /** CAS retries while pushing mailbox batches: how often two
-     *  domains raced on the same destination's mailbox head. */
-    std::uint64_t mailboxContention() const
-    {
-        return mailbox_contention_.load(std::memory_order_relaxed);
-    }
 
   private:
     /** One cross-domain handoff, stamped for deterministic merging. */
@@ -288,38 +288,30 @@ class ShardedEngine
     {
         TimeNs when;
         DomainId src;
+        DomainId dst;
         std::uint64_t seq; ///< per-source send counter
         EventQueue::Callback cb;
     };
 
-    /** One mailbox node: every handoff a source domain produced for
-     *  one destination during one window slice. */
-    struct CrossNode
-    {
-        std::vector<CrossEvent> batch;
-        CrossNode *next = nullptr;
-    };
-
     /**
      * One domain. alignas keeps hot per-domain state (the queue, the
-     * send counter, the staging buffers) on private cache lines across
-     * worker threads. `staged` and the plain counters are only touched
-     * by the thread executing this domain's window slice (one thread
-     * per window, with a barrier between windows) or by the owning
-     * thread between windows — never concurrently. `inbox` is the
-     * lock-free MPSC head other domains push batch nodes onto.
+     * send counter, the staging lists) on private cache lines across
+     * worker threads. Everything here is only touched by the thread
+     * executing this domain's window slice (one thread per window,
+     * with a barrier between windows) or by the owning thread between
+     * windows — never concurrently.
      */
     struct alignas(64) Domain
     {
         EventQueue q;
         DomainId id = 0;
         std::uint64_t send_seq = 0; ///< stamps outgoing cross events
-        std::uint64_t batches_out = 0; ///< mailbox nodes pushed
+        std::uint64_t batches_out = 0; ///< non-empty lists merged
         std::uint64_t skipped = 0;     ///< idle window-slices skipped
-        /** Outgoing handoffs staged this window, keyed by destination
-         *  (linear scan: fan-out per window is small). */
+        /** Outgoing handoffs staged since the last barrier, one list
+         *  per destination (linear scan: fan-out per window is small).
+         *  The drain empties the lists but keeps their capacity. */
         std::vector<std::pair<DomainId, std::vector<CrossEvent>>> staged;
-        std::atomic<CrossNode *> inbox{nullptr};
     };
 
     /** The domain whose window slice this thread is executing, or
@@ -358,17 +350,15 @@ class ShardedEngine
     std::size_t runWindowSerial(DomainId only, TimeNs end_exclusive,
                                 std::size_t max_events);
     /** Run one domain's slice of the current window (tls context,
-     *  enter/leave hooks, staged-handoff flush). */
+     *  enter/leave hooks). */
     void runDomainSlice(DomainId d, TimeNs end_exclusive,
                         std::size_t max_events = SIZE_MAX);
     /** Run the window slice owned by worker @p worker. */
     void runOwnedDomains(unsigned worker, TimeNs end_exclusive);
     void workerMain(unsigned worker);
-    /** Push @p src's staged handoffs onto the destination mailboxes
-     *  (one batch node per destination). */
-    void flushStaged(Domain &src);
-    /** Merge all mailboxes into their queues (serial, deterministic). */
-    void drainInboxes();
+    /** Merge every domain's staged handoffs into their destination
+     *  queues (owning thread, after the barrier; deterministic). */
+    void drainStaged();
 
     std::deque<Domain> domains_; ///< deque: stable addrs, no moves
     bool single_;                ///< one domain: every id maps to it
@@ -392,7 +382,6 @@ class ShardedEngine
 
     std::uint64_t windows_ = 0;
     std::uint64_t windows_serial_ = 0;
-    std::atomic<std::uint64_t> mailbox_contention_{0};
     std::vector<CrossEvent> merge_buf_; ///< drain scratch (reused)
 
     // The executing window slice, set and restored by runDomainSlice

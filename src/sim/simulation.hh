@@ -151,7 +151,7 @@ class Simulation
     /** Events executed so far (aggregated across domains). */
     std::uint64_t eventsExecuted() const { return engine_->executed(); }
 
-    /** Pending events (aggregated across domains + mailboxes). */
+    /** Pending events (aggregated across domains + staged handoffs). */
     std::size_t pendingEvents() const { return engine_->pending(); }
 
     /** Largest pending-event count any one domain reached. */

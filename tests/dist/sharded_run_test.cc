@@ -139,7 +139,6 @@ TEST(ShardedRun, ShardedRunReportsPerfCounters)
     // Counters that may legitimately be zero must still be reported.
     EXPECT_NO_THROW(res.perf.at("shard_windows_serial"));
     EXPECT_NO_THROW(res.perf.at("shard_domains_skipped"));
-    EXPECT_NO_THROW(res.perf.at("shard_mailbox_contention"));
 }
 
 TEST(ShardedRun, RejectsSingleDomainClusters)

@@ -149,8 +149,8 @@ TEST(ShardedEngine, DomainHooksWrapEveryWindowSlice)
 
 TEST(ShardedEngine, CrossBatchesCountFlushesNotEvents)
 {
-    // A window slice's staged sends to one destination travel as a
-    // single mailbox node: 3 events, 1 batch.
+    // A window slice's staged sends to one destination are merged at
+    // the barrier as a single batch: 3 events, 1 batch.
     ShardedEngine eng(ShardPlan{2, 100, 1});
     int ran = 0;
     eng.schedule(1, 10, [&eng, &ran] {
@@ -162,6 +162,28 @@ TEST(ShardedEngine, CrossBatchesCountFlushesNotEvents)
     EXPECT_EQ(ran, 3);
     EXPECT_EQ(eng.crossEvents(), 3u);
     EXPECT_EQ(eng.crossBatches(), 1u);
+}
+
+TEST(ShardedEngine, BudgetStopKeepsStagedHandoffPending)
+{
+    // A budget stop right after an event that staged a handoff: the
+    // handoff still counts as pending, and the next run merges and
+    // delivers it exactly once.
+    ShardedEngine eng(ShardPlan{2, 100, 1});
+    int delivered = 0;
+    eng.schedule(1, 10, [&eng, &delivered] {
+        eng.schedule(0, eng.now() + eng.lookahead(),
+                     [&delivered] { ++delivered; });
+    });
+    EXPECT_EQ(eng.runAll(1), 1u);
+    EXPECT_EQ(eng.pending(), 1u);
+    EXPECT_FALSE(eng.empty());
+    EXPECT_EQ(delivered, 0);
+    eng.runAll();
+    EXPECT_EQ(delivered, 1);
+    EXPECT_EQ(eng.crossEvents(), 1u);
+    EXPECT_EQ(eng.crossBatches(), 1u);
+    EXPECT_TRUE(eng.empty());
 }
 
 TEST(ShardedEngine, SerialFastPathSkipsIdleDomains)
