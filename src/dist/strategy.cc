@@ -587,8 +587,10 @@ JobBase::finishRun(std::string error)
     if (sim_->sharded()) {
         const sim::ShardedEngine &eng = sim_->engine();
         res.perf["shard_windows"] = static_cast<double>(eng.windows());
+        // Windows run on the owning thread rather than the pool (the
+        // key predates the width dispatch; perfbench reads it).
         res.perf["shard_windows_serial"] =
-            static_cast<double>(eng.windowsSerialFastPath());
+            static_cast<double>(eng.windowsInline());
         res.perf["shard_domains_skipped"] =
             static_cast<double>(eng.domainsSkipped());
         res.perf["shard_cross_events"] =

@@ -118,7 +118,11 @@ struct JobConfig
      * tests pin this.
      */
     bool shard = false;
-    /** Worker threads for the sharded engine (0 = one per core). */
+    /**
+     * Threads for the sharded engine (0 = one per core). They size a
+     * pool that only wide windows wake (sim::ShardPlan::threads);
+     * every other window runs on the calling thread.
+     */
     unsigned shard_threads = 0;
     std::uint64_t seed = 1;
     /** Algorithm 1's staleness bound S (async strategies). */

@@ -75,7 +75,7 @@ struct FabricSpec
     std::size_t per_rack = 0;      ///< workers per rack
     std::size_t racks_per_pod = 0; ///< ToRs per AGG (fat-tree)
     bool shard = false;            ///< run on the sharded engine
-    unsigned shard_threads = 0;    ///< 0 = one per core
+    unsigned shard_threads = 0;    ///< pool size, 0 = one per core
 };
 
 /**

@@ -23,6 +23,7 @@ ShardedEngine::ShardedEngine(const ShardPlan &plan)
                               : std::thread::hardware_concurrency();
     nthreads_ = static_cast<unsigned>(
         std::clamp<std::size_t>(want, 1, plan.domains));
+    errors_.resize(nthreads_);
     pool_.reserve(nthreads_ - 1);
     for (unsigned i = 1; i < nthreads_; ++i)
         pool_.emplace_back(&ShardedEngine::workerMain, this, i);
@@ -199,7 +200,7 @@ ShardedEngine::drainStaged()
         domains_[ce.dst].q.schedule(ce.when, std::move(ce.cb));
 }
 
-void
+std::size_t
 ShardedEngine::runDomainSlice(DomainId d, TimeNs end_exclusive,
                               std::size_t max_events)
 {
@@ -230,20 +231,25 @@ ShardedEngine::runDomainSlice(DomainId d, TimeNs end_exclusive,
     tls_dom_ = &dom;
     if (enter_)
         enter_(d);
-    dom.q.runWindow(end_exclusive, max_events);
+    return dom.q.runWindow(end_exclusive, max_events);
 }
 
-void
-ShardedEngine::runOwnedDomains(unsigned worker, TimeNs end_exclusive)
+std::size_t
+ShardedEngine::runDomains(std::size_t first, std::size_t stride,
+                          TimeNs end_exclusive, std::size_t max_events)
 {
-    for (std::size_t d = worker; d < domains_.size(); d += nthreads_) {
+    std::size_t ran = 0;
+    for (std::size_t d = first; d < domains_.size() && ran < max_events;
+         d += stride) {
         Domain &dom = domains_[d];
         if (dom.q.nextTime() >= end_exclusive) {
             ++dom.skipped; // idle: no event before the window horizon
             continue;
         }
-        runDomainSlice(static_cast<DomainId>(d), end_exclusive);
+        ran += runDomainSlice(static_cast<DomainId>(d), end_exclusive,
+                              max_events - ran);
     }
+    return ran;
 }
 
 void
@@ -255,53 +261,57 @@ ShardedEngine::workerMain(unsigned worker)
         seen = gen_.load(std::memory_order_acquire);
         if (quit_.load(std::memory_order_acquire))
             return;
-        runOwnedDomains(worker, window_end_.load(std::memory_order_relaxed));
+        try {
+            runDomains(worker, nthreads_,
+                       window_end_.load(std::memory_order_relaxed),
+                       SIZE_MAX);
+        } catch (...) {
+            errors_[worker] = std::current_exception();
+        }
         done_.fetch_add(1, std::memory_order_release);
         done_.notify_one();
     }
 }
 
-std::size_t
-ShardedEngine::runWindowParallel(TimeNs end_exclusive)
+bool
+ShardedEngine::wakesPool(TimeNs end_exclusive)
 {
-    const std::uint64_t before = executed();
-    // schedule()'s lookahead check reads window_end_ on every thread
-    // count, so it must be published even on the serial path.
-    window_end_.store(end_exclusive, std::memory_order_relaxed);
-    if (nthreads_ == 1) {
-        runOwnedDomains(0, end_exclusive);
-    } else {
-        done_.store(0, std::memory_order_relaxed);
-        gen_.fetch_add(1, std::memory_order_release);
-        gen_.notify_all();
-        runOwnedDomains(0, end_exclusive);
-        unsigned finished;
-        while ((finished = done_.load(std::memory_order_acquire)) !=
-               nthreads_ - 1)
-            done_.wait(finished, std::memory_order_acquire);
-    }
-    ++windows_;
-    return static_cast<std::size_t>(executed() - before);
+    const std::size_t wide = kPoolDomainsPerThread * nthreads_;
+    if (pool_.empty() || domains_.size() < wide)
+        return false; // no window can be wide enough: skip the scan
+    std::size_t active = 0;
+    for (auto &dom : domains_)
+        if (dom.q.nextTime() < end_exclusive && ++active == wide)
+            return true;
+    return false;
 }
 
-std::size_t
-ShardedEngine::runWindowSerial(DomainId only, TimeNs end_exclusive,
-                               std::size_t max_events)
+void
+ShardedEngine::runWindowPool(TimeNs end_exclusive)
 {
-    // Only one domain can reach the horizon: run it inline and leave
-    // the worker pool parked (no futex round trip). Behavior matches
-    // runWindowParallel exactly — every other domain would have been
-    // skipped as idle, which is what the counter records. Stopping
-    // early on the budget is safe here: no other domain ran past the
-    // point where the next window restarts.
-    Domain &dom = domains_[only];
-    const std::uint64_t before = dom.q.executed();
-    window_end_.store(end_exclusive, std::memory_order_relaxed);
-    runDomainSlice(only, end_exclusive, max_events);
-    dom.skipped += domains_.size() - 1;
-    ++windows_;
-    ++windows_serial_;
-    return static_cast<std::size_t>(dom.q.executed() - before);
+    done_.store(0, std::memory_order_relaxed);
+    gen_.fetch_add(1, std::memory_order_release);
+    gen_.notify_all();
+    try {
+        runDomains(0, nthreads_, end_exclusive, SIZE_MAX);
+    } catch (...) {
+        errors_[0] = std::current_exception();
+    }
+    // Every thread checks in before anything is rethrown: a pool slice
+    // still running would otherwise touch the engine while the caller
+    // unwinds, and race the next window's reset of done_.
+    unsigned finished;
+    while ((finished = done_.load(std::memory_order_acquire)) !=
+           nthreads_ - 1)
+        done_.wait(finished, std::memory_order_acquire);
+    std::exception_ptr first;
+    for (auto &e : errors_) {
+        if (!first)
+            first = e;
+        e = nullptr;
+    }
+    if (first)
+        std::rethrow_exception(first);
 }
 
 std::size_t
@@ -310,22 +320,9 @@ ShardedEngine::runLoop(TimeNs deadline, std::size_t max_events)
     std::size_t total = 0;
     for (;;) {
         drainStaged();
-        // One scan finds both the window start (global min) and the
-        // runner-up: when the runner-up lies beyond the horizon, the
-        // window has exactly one active domain and runs serially.
         TimeNs t = EventQueue::kNoEvent;
-        TimeNs t2 = EventQueue::kNoEvent;
-        std::size_t argmin = 0;
-        for (std::size_t d = 0; d < domains_.size(); ++d) {
-            const TimeNs next = domains_[d].q.nextTime();
-            if (next < t) {
-                t2 = t;
-                t = next;
-                argmin = d;
-            } else if (next < t2) {
-                t2 = next;
-            }
-        }
+        for (auto &dom : domains_)
+            t = std::min(t, dom.q.nextTime());
         if (t == EventQueue::kNoEvent || t > deadline)
             break;
         TimeNs end = t + lookahead_;
@@ -333,11 +330,23 @@ ShardedEngine::runLoop(TimeNs deadline, std::size_t max_events)
             end = EventQueue::kNoEvent; // overflow clamp
         if (deadline != EventQueue::kNoEvent && end > deadline)
             end = deadline + 1; // deadline-inclusive, like runUntil()
-        if (t2 >= end)
-            total += runWindowSerial(static_cast<DomainId>(argmin), end,
-                                     max_events - total);
-        else
-            total += runWindowParallel(end);
+        // schedule()'s lookahead check reads the window end on both
+        // paths.
+        window_end_.store(end, std::memory_order_relaxed);
+        if (wakesPool(end)) {
+            const std::uint64_t before = executed();
+            runWindowPool(end);
+            total += static_cast<std::size_t>(executed() - before);
+        } else {
+            // Narrow window: the slices run one after another here,
+            // which gives the pool's result (no slice sees another
+            // domain's events before the barrier) without its wakeup.
+            // Stopping early on the budget is safe: the next window
+            // restarts at the earliest event left in any domain.
+            total += runDomains(0, 1, end, max_events - total);
+            ++windows_inline_;
+        }
+        ++windows_;
         if (barrier_)
             barrier_();
         if (total >= max_events)

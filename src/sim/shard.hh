@@ -16,8 +16,16 @@
  * such a link — delivery time = serialization-done + propagation >=
  * now + lookahead — no event executed inside the window can schedule
  * work in *another* domain earlier than the window's end. Each domain
- * can therefore run its slice of the window on a separate thread with
- * no event-level synchronization at all.
+ * can therefore run its slice of the window independently of the
+ * others, with no event-level synchronization at all.
+ *
+ * Each window is dispatched by its width: the number of domains with
+ * an event before its horizon. A narrow window runs on the owning
+ * thread, one active slice after another in domain-id order; only a
+ * window with at least kPoolDomainsPerThread active domains per thread
+ * wakes the worker pool, which runs the slices in parallel. The two
+ * paths give the same result, because no slice sees another domain's
+ * events inside a window.
  *
  * Cross-domain handoffs produced during a window are *staged* in the
  * source domain, in one list per destination (thread-private, zero
@@ -30,11 +38,9 @@
  * Every Simulation runs on this engine. An un-sharded one owns a
  * single domain with an unbounded lookahead: every domain id maps to
  * that one queue, and each run()/runUntil() call is one window on the
- * caller's thread — the plain serial queue. Windows whose horizon
- * only one domain can reach take a serial fast path that skips the
- * worker-pool wakeup entirely, and only such windows honor an event
- * budget exactly (runAll's max_events); a parallel window always runs
- * to its end.
+ * caller's thread — the plain serial queue. Windows run on the owning
+ * thread honor an event budget exactly (runAll's max_events); a window
+ * run on the pool always runs to its end.
  */
 
 #ifndef ISW_SIM_SHARD_HH
@@ -43,6 +49,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <stdexcept>
 #include <thread>
@@ -77,7 +84,9 @@ struct ShardPlan
     TimeNs lookahead = 1;
     /**
      * Worker threads (including the calling thread). 0 picks
-     * hardware_concurrency, capped at the domain count.
+     * hardware_concurrency, capped at the domain count. Only windows
+     * with ShardedEngine::kPoolDomainsPerThread active domains per
+     * thread use the others.
      */
     unsigned threads = 0;
 };
@@ -95,6 +104,19 @@ struct ShardPlan
 class ShardedEngine
 {
   public:
+    /**
+     * Active domains per thread at which a window wakes the pool; a
+     * narrower window runs on the owning thread. Waking the pool costs
+     * a futex wake and a barrier per window, which a window of a few
+     * events does not repay: on perfbench's fat64-sharded workload (9
+     * domains, about 5 events per window, 4 threads, shared 4-core
+     * host) running every window inline cut wall_s from 1.39 to
+     * 0.52 s. At 4 per thread (16 at 4 threads) none of its windows
+     * reaches the pool, while a 256-worker fat-tree sync-iSW run (33
+     * domains) still runs 71% of its windows there and is no slower.
+     */
+    static constexpr std::size_t kPoolDomainsPerThread = 4;
+
     explicit ShardedEngine(const ShardPlan &plan);
     ~ShardedEngine();
 
@@ -223,7 +245,8 @@ class ShardedEngine
     }
 
     /** Run windows until every queue drains or @p max_events ran
-     *  (exactly @p max_events unless a parallel window overshoots). */
+     *  (exactly @p max_events unless a window run on the pool
+     *  overshoots). */
     std::size_t runAll(std::size_t max_events = SIZE_MAX);
 
     /** Run windows until simulated @p deadline (inclusive, like
@@ -271,8 +294,9 @@ class ShardedEngine
 
     /** Conservative windows executed so far. */
     std::uint64_t windows() const { return windows_; }
-    /** Windows that took the single-active-domain serial fast path. */
-    std::uint64_t windowsSerialFastPath() const { return windows_serial_; }
+    /** Windows run on the owning thread (narrower than the pool
+     *  threshold, or any window without a pool). */
+    std::uint64_t windowsInline() const { return windows_inline_; }
     /** Domain window-slices skipped because the domain had no event
      *  before the window horizon (idle-domain skip). */
     std::uint64_t domainsSkipped() const;
@@ -342,19 +366,21 @@ class ShardedEngine
                          EventQueue::Callback &&cb);
 
     std::size_t runLoop(TimeNs deadline, std::size_t max_events);
-    /** Execute one window on all threads; returns events executed. */
-    std::size_t runWindowParallel(TimeNs end_exclusive);
-    /** Execute one window entirely on the calling thread when only
-     *  @p only can reach the horizon (skips the pool wakeup), stopping
-     *  after @p max_events. */
-    std::size_t runWindowSerial(DomainId only, TimeNs end_exclusive,
-                                std::size_t max_events);
+    /** Whether the window ending at @p end_exclusive is wide enough to
+     *  run on the pool (see kPoolDomainsPerThread). */
+    bool wakesPool(TimeNs end_exclusive);
+    /** Run one window on every thread and wait for all of them; then
+     *  rethrow the first exception any slice threw. */
+    void runWindowPool(TimeNs end_exclusive);
+    /** Run the slices of domains @p first, first + @p stride, ... that
+     *  have an event before the horizon, counting the others as
+     *  skipped; stop after @p max_events. Returns events executed. */
+    std::size_t runDomains(std::size_t first, std::size_t stride,
+                           TimeNs end_exclusive, std::size_t max_events);
     /** Run one domain's slice of the current window (tls context,
-     *  enter/leave hooks). */
-    void runDomainSlice(DomainId d, TimeNs end_exclusive,
-                        std::size_t max_events = SIZE_MAX);
-    /** Run the window slice owned by worker @p worker. */
-    void runOwnedDomains(unsigned worker, TimeNs end_exclusive);
+     *  enter/leave hooks); returns events executed. */
+    std::size_t runDomainSlice(DomainId d, TimeNs end_exclusive,
+                               std::size_t max_events);
     void workerMain(unsigned worker);
     /** Merge every domain's staged handoffs into their destination
      *  queues (owning thread, after the barrier; deterministic). */
@@ -372,16 +398,19 @@ class ShardedEngine
     // Worker pool: pool_[i] drives domains {d : d % nthreads_ == i+1};
     // the calling thread doubles as worker 0. Wakeups use C++20
     // atomic wait (futex): gen_ bumps to start a window, done_ counts
-    // finished workers.
+    // finished workers. errors_[w] holds what worker w's slices threw
+    // in the current pool window; the done_ handshake orders it before
+    // the owning thread reads it.
     std::vector<std::thread> pool_;
     unsigned nthreads_ = 1;
+    std::vector<std::exception_ptr> errors_;
     std::atomic<std::uint64_t> gen_{0};
     std::atomic<unsigned> done_{0};
     std::atomic<TimeNs> window_end_{0};
     std::atomic<bool> quit_{false};
 
     std::uint64_t windows_ = 0;
-    std::uint64_t windows_serial_ = 0;
+    std::uint64_t windows_inline_ = 0;
     std::vector<CrossEvent> merge_buf_; ///< drain scratch (reused)
 
     // The executing window slice, set and restored by runDomainSlice

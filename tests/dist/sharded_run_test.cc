@@ -114,6 +114,37 @@ TEST(ShardedRun, AsyncPsDeterministicAcrossThreadCounts)
     EXPECT_EQ(reportOf(cfg), reportOf(many));
 }
 
+TEST(ShardedRun, WideWindowsRunOnThePoolWithIdenticalReports)
+{
+    // 16 racks of 2 workers make 17 domains. Rounds put most racks in
+    // one window, which reaches the pool threshold at 2 and at 4
+    // threads, so slices run on real pool threads (per-domain packet
+    // pools, published snapshots and barrier merges across threads),
+    // and the reports must still match the one-thread run's.
+    for (const StrategyKind k :
+         {StrategyKind::kSyncIswitch, StrategyKind::kAsyncPs}) {
+        JobConfig one = treeConfig(k, 32, 2);
+        one.cluster.per_rack = 2;
+        one.shard = true;
+        one.shard_threads = 1;
+        const RunResult base = runJob(one);
+        ASSERT_TRUE(base.error.empty()) << base.error;
+        EXPECT_EQ(base.perf.at("shard_windows_serial"),
+                  base.perf.at("shard_windows"));
+        const std::string expected = harness::resultToJson(base).dump(2);
+        for (const unsigned threads : {2u, 4u}) {
+            JobConfig pooled = one;
+            pooled.shard_threads = threads;
+            const RunResult res = runJob(pooled);
+            EXPECT_LT(res.perf.at("shard_windows_serial"),
+                      res.perf.at("shard_windows"))
+                << threads << " threads";
+            EXPECT_EQ(harness::resultToJson(res).dump(2), expected)
+                << threads << " threads";
+        }
+    }
+}
+
 TEST(ShardedRun, LossySyncRunByteIdenticalToSerial)
 {
     // Lossy sync paths use the same domain-safe probe/defer machinery

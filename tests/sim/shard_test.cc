@@ -1,11 +1,18 @@
 /** @file Sharded engine tests: serial equivalence, deterministic
- *  cross-domain merging, lookahead enforcement, cancellation. */
+ *  cross-domain merging, lookahead enforcement, cancellation, and
+ *  window dispatch between the owning thread and the pool. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/shard.hh"
@@ -201,8 +208,138 @@ TEST(ShardedEngine, SerialFastPathSkipsIdleDomains)
     eng.runAll();
     EXPECT_EQ(ran, 5);
     EXPECT_GT(eng.windows(), 0u);
-    EXPECT_EQ(eng.windowsSerialFastPath(), eng.windows());
+    EXPECT_EQ(eng.windowsInline(), eng.windows());
     EXPECT_GT(eng.domainsSkipped(), 0u);
+}
+
+/** What runChains() saw; each per-domain list is written only by its
+ *  own domain's slice. */
+struct ChainRun
+{
+    std::vector<std::vector<std::string>> log;
+    std::vector<std::vector<std::thread::id>> ran_on;
+    std::size_t widest = 0; ///< most domains that ran in one window
+    std::uint64_t windows = 0;
+    std::uint64_t inline_windows = 0;
+};
+
+/** @p domains chains, each stepping every 30 ns from a start
+ *  staggered by @p stagger per domain and handing one event to the
+ *  next domain per step, logging what ran where, when and on which
+ *  thread. */
+ChainRun
+runChains(std::size_t domains, unsigned threads, TimeNs stagger)
+{
+    ShardedEngine eng(ShardPlan{domains, 100, threads});
+    ChainRun out;
+    out.log.resize(domains);
+    out.ran_on.resize(domains);
+    std::vector<std::uint8_t> touched(domains, 0);
+    const auto note = [&](DomainId d, const std::string &what) {
+        out.log[d].push_back(std::to_string(eng.now()) + " " + what);
+        out.ran_on[d].push_back(std::this_thread::get_id());
+        touched[d] = 1;
+    };
+    eng.setBarrierHook([&] {
+        std::size_t ran = 0;
+        for (auto &t : touched)
+            ran += std::exchange(t, 0);
+        out.widest = std::max(out.widest, ran);
+    });
+    std::function<void(DomainId, int)> step = [&](DomainId d, int left) {
+        note(d, "step " + std::to_string(left));
+        if (left == 0)
+            return;
+        const auto next = static_cast<DomainId>((d + 1) % domains);
+        eng.schedule(next, eng.now() + eng.lookahead(), [&note, next, d] {
+            note(next, "from " + std::to_string(d));
+        });
+        eng.schedule(d, eng.now() + 30,
+                     [&step, d, left] { step(d, left - 1); });
+    };
+    for (std::size_t d = 0; d < domains; ++d) {
+        const auto id = static_cast<DomainId>(d);
+        eng.schedule(id, 10 + stagger * d, [&step, id] { step(id, 12); });
+    }
+    eng.runAll();
+    out.windows = eng.windows();
+    out.inline_windows = eng.windowsInline();
+    return out;
+}
+
+TEST(ShardedEngine, SparseWindowsRunOnTheOwningThread)
+{
+    // 8 domains stay below the pool threshold at 4 threads, so even
+    // windows with several active domains run on the calling thread.
+    ASSERT_LT(8u, ShardedEngine::kPoolDomainsPerThread * 4);
+    const ChainRun run = runChains(8, 4, 45);
+    EXPECT_GE(run.widest, 2u);
+    EXPECT_EQ(run.inline_windows, run.windows);
+    const auto owner = std::this_thread::get_id();
+    for (const auto &ids : run.ran_on) {
+        ASSERT_FALSE(ids.empty());
+        for (const auto &id : ids)
+            EXPECT_EQ(id, owner);
+    }
+}
+
+TEST(ShardedEngine, WideWindowsWakeThePool)
+{
+    // 24 domains step in lockstep, so every window holds all of them:
+    // at 4 threads that is past the pool threshold, and the pool's
+    // result must match the calling thread's, domain by domain.
+    const ChainRun pooled = runChains(24, 4, 0);
+    const ChainRun one = runChains(24, 1, 0);
+    EXPECT_GE(pooled.widest, ShardedEngine::kPoolDomainsPerThread * 4);
+    EXPECT_LT(pooled.inline_windows, pooled.windows);
+    EXPECT_EQ(one.inline_windows, one.windows);
+    EXPECT_EQ(pooled.windows, one.windows);
+    EXPECT_EQ(pooled.log, one.log);
+    const auto owner = std::this_thread::get_id();
+    bool off_owner = false;
+    for (const auto &ids : pooled.ran_on)
+        for (const auto &id : ids)
+            off_owner = off_owner || id != owner;
+    EXPECT_TRUE(off_owner);
+}
+
+TEST(ShardedEngine, PoolWindowExceptionReachesTheOwner)
+{
+    // A window wide enough for the pool at 4 threads, in which one
+    // slice breaks the cancel contract while the others are busy. The
+    // throw must reach runAll's caller only after every other thread
+    // finished its slices, whichever thread threw, and the engine must
+    // then shut its pool down cleanly.
+    const std::size_t domains = ShardedEngine::kPoolDomainsPerThread * 4;
+    constexpr int kSteps = 50;
+    for (const DomainId thrower : {DomainId{1}, DomainId{0}}) {
+        ShardedEngine eng(ShardPlan{domains, 100, 4});
+        const EventId victim = eng.schedule(2, 500, [] {});
+        // Written only by each domain's own slice.
+        std::vector<int> steps(domains, 0);
+        std::thread::id thrown_on;
+        std::function<void(DomainId)> step = [&](DomainId d) {
+            if (d == thrower) {
+                thrown_on = std::this_thread::get_id();
+                eng.cancelIn(2, victim); // foreign domain mid-window
+            }
+            if (++steps[d] < kSteps)
+                eng.schedule(d, eng.now() + 1, [&step, d] { step(d); });
+        };
+        for (std::size_t d = 0; d < domains; ++d) {
+            const auto id = static_cast<DomainId>(d);
+            eng.schedule(id, 10, [&step, id] { step(id); });
+        }
+        EXPECT_THROW(eng.runAll(), std::logic_error);
+        // The throwing thread stops at the throw; every other thread
+        // ran its domains to the end of the window.
+        for (std::size_t d = 0; d < domains; ++d) {
+            if (d % eng.threads() != thrower % eng.threads())
+                EXPECT_EQ(steps[d], kSteps) << "domain " << d;
+        }
+        // Domain 1 belongs to a pool thread, domain 0 to the owner.
+        EXPECT_EQ(thrown_on == std::this_thread::get_id(), thrower == 0);
+    }
 }
 
 TEST(ShardedEngine, BarrierHookRunsAfterEveryWindow)
