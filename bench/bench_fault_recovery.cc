@@ -118,9 +118,9 @@ main(int argc, char **argv)
     bench::initBench(argc, argv);
     bench::printHeader("Fault injection — recovery cost across strategies");
 
-    const std::array<dist::StrategyKind, 4> kinds{
+    const std::array<dist::StrategyKind, 5> kinds{
         dist::StrategyKind::kSyncPs, dist::StrategyKind::kSyncAllReduce,
-        dist::StrategyKind::kSyncIswitch,
+        dist::StrategyKind::kSyncIswitch, dist::StrategyKind::kAsyncPs,
         dist::StrategyKind::kAsyncIswitch};
     const std::array<Scenario, 4> scenarios{
         Scenario::kLossless, Scenario::kIidLoss, Scenario::kBursty,

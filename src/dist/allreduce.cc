@@ -1,5 +1,6 @@
 #include "dist/allreduce.hh"
 
+#include <numeric>
 #include <stdexcept>
 
 namespace isw::dist {
@@ -88,14 +89,14 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
     RingState &rs = ring_[w.index];
     const std::size_t chunk = sendChunkAt(w.index, step);
     const ChunkSpec &cs = chunks_[chunk];
-    WorkerCtx &next = workers_[(w.index + 1) % workers_.size()];
+    const std::size_t rcv = (w.index + 1) % workers_.size();
     const WireFormat cfmt =
         WireFormat::forVector(cs.log_end - cs.log_begin, cs.wire_bytes,
                               /*iswitch_plane=*/false, cfg_.precision);
     WorkerCtx *wp = &w;
-    net::Host *dst = next.host;
-    const std::uint64_t tid = xferId(rs.round, step);
-    sim_->after(cfg_.overhead.send, [this, wp, dst, cs, cfmt, tid] {
+    net::Host *dst = workers_[rcv].host;
+    const std::uint64_t tid = encodeXfer(rs.round, step);
+    sim_->after(cfg_.overhead.send, [this, wp, rcv, dst, cs, cfmt, tid] {
         const RingState &rs = ring_[wp->index];
         sendVector(*wp->host, dst->ip(), kWorkerPort, kWorkerPort,
                    /*tos=*/0, tid,
@@ -111,62 +112,40 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
         o.data.assign(rs.acc.data() + cs.log_begin,
                       rs.acc.data() + cs.log_end);
         o.fmt = cfmt;
-        o.src = wp->host;
-        o.dst = dst;
-        configureTimer(o.timer);
-        const std::size_t rcv = (wp->index + 1) % workers_.size();
-        o.timer.arm([this, wp, tid, rcv]() -> std::size_t {
-            auto oit = out_[wp->index].find(tid);
-            if (stopped() || oit == out_[wp->index].end())
-                return 0;
-            // Free-ack model: the successor's assembler (absent =
-            // nothing arrived yet) lives in its own domain — probe
-            // there, hop back here to resend. Stay armed (return 1)
-            // until the successor's completion defers a done() here.
-            inDomainOf(workers_[rcv].host, [this, wp, tid, rcv] {
-                if (stopped())
-                    return;
+        // Guarded until the successor's completion releases the entry.
+        // Transfer ids never repeat, so a live entry is this one.
+        const Outgoing *op = &o;
+        guardTransfer(
+            o.timer, wp->host, dst,
+            [this, wp, tid] {
+                return !stopped() && out_[wp->index].count(tid) != 0;
+            },
+            [this, rcv, tid, segs = cfmt.segments()] {
                 const RingState &rr = ring_[rcv];
-                const std::uint64_t round = tid / 1000;
-                const std::size_t step = tid % 1000;
-                if (round < rr.round ||
-                    (round == rr.round && step < rr.step))
-                    return; // consumed; a deferred done() is in flight
                 std::vector<std::uint64_t> missing;
-                auto ait = rr.inflight.find(tid);
-                const bool all = ait == rr.inflight.end();
-                if (!all) {
-                    if (ait->second.complete())
-                        return; // assembled, consumption pending
-                    missing = ait->second.missingSegments();
-                    if (missing.empty())
-                        return;
-                }
-                inDomainOf(wp->host, [this, wp, tid, all,
-                                      missing = std::move(missing)] {
-                    auto oit = out_[wp->index].find(tid);
-                    if (stopped() || oit == out_[wp->index].end())
-                        return;
-                    std::vector<std::uint64_t> segs = missing;
-                    if (all) {
-                        segs.resize(oit->second.fmt.segments());
-                        for (std::uint64_t s = 0; s < segs.size(); ++s)
-                            segs[s] = s;
-                    }
-                    for (std::uint64_t seg : segs) {
-                        sendVectorSegment(
-                            *oit->second.src, oit->second.dst->ip(),
-                            kWorkerPort, kWorkerPort, /*tos=*/0, tid,
-                            oit->second.data, oit->second.fmt, seg,
-                            /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                            wp->ppp.get());
-                        ++recovery_.retransmits;
-                    }
-                });
+                if (consumed(rr, tid))
+                    return missing; // its release is already in flight
+                auto it = rr.inflight.find(tid);
+                if (it != rr.inflight.end())
+                    return it->second.missingSegments();
+                missing.resize(segs); // nothing has arrived yet
+                std::iota(missing.begin(), missing.end(), std::uint64_t{0});
+                return missing;
+            },
+            [wp, dst, tid, op](std::uint64_t seg) {
+                sendVectorSegment(*wp->host, dst->ip(), kWorkerPort,
+                                  kWorkerPort, /*tos=*/0, tid, op->data,
+                                  op->fmt, seg, /*seg_base=*/0, /*job=*/0,
+                                  /*ver_quota=*/0, wp->ppp.get());
             });
-            return 1;
-        });
     });
+}
+
+bool
+SyncAllReduceJob::consumed(const RingState &rs, std::uint64_t tid)
+{
+    const XferId x = decodeXfer(tid);
+    return x.seq < rs.round || (x.seq == rs.round && x.low < rs.step);
 }
 
 void
@@ -178,15 +157,14 @@ SyncAllReduceJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
     if (chunk == nullptr)
         return;
     RingState &rs = ring_[w.index];
-    const std::uint64_t round = chunk->transfer_id / 1000;
-    const std::size_t step = chunk->transfer_id % 1000;
     // Stale gating: a consumed step's transfer can only reappear as a
     // late retransmission or channel duplicate — never re-assemble it.
-    if (round < rs.round || (round == rs.round && step < rs.step))
+    if (consumed(rs, chunk->transfer_id))
         return;
     auto it = rs.inflight.find(chunk->transfer_id);
     if (it == rs.inflight.end()) {
         // Derive which step this transfer is to size its assembler.
+        const std::uint64_t step = decodeXfer(chunk->transfer_id).low;
         if (step >= totalSteps())
             return;
         const std::size_t c = recvChunkAt(w.index, step);
@@ -225,7 +203,7 @@ SyncAllReduceJob::tryAdvance(WorkerCtx &w)
     RingState &rs = ring_[w.index];
     if (rs.processing || !rs.active)
         return;
-    const std::uint64_t tid = xferId(rs.round, rs.step);
+    const std::uint64_t tid = encodeXfer(rs.round, rs.step);
     auto it = rs.inflight.find(tid);
     if (it == rs.inflight.end() || !it->second.complete())
         return;

@@ -60,8 +60,6 @@ class SyncAllReduceJob : public JobBase
     {
         std::vector<float> data;
         WireFormat fmt;
-        net::Host *src = nullptr;
-        net::Host *dst = nullptr;
         RetxTimer timer;
     };
 
@@ -77,10 +75,9 @@ class SyncAllReduceJob : public JobBase
     /** Chunk index worker @p i receives at @p step. */
     std::size_t recvChunkAt(std::size_t i, std::size_t step) const;
 
-    std::uint64_t xferId(std::uint64_t round, std::size_t step) const
-    {
-        return round * 1000 + step;
-    }
+    /** Has @p rs already consumed transfer @p tid (an earlier round,
+     *  or an earlier step of this one)? */
+    static bool consumed(const RingState &rs, std::uint64_t tid);
 
     std::size_t totalSteps() const { return 2 * (workers_.size() - 1); }
 

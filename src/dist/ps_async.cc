@@ -1,10 +1,10 @@
 #include "dist/ps_async.hh"
 
+#include <numeric>
+
 namespace isw::dist {
 
 namespace {
-constexpr std::uint64_t kWeightXferShift = 16;
-constexpr std::uint64_t kIdMask = (1ULL << kWeightXferShift) - 1;
 constexpr std::uint64_t kPullRequestBytes = 64;
 /** rx_ver_ sentinel: the worker adopts the next reply it sees. */
 constexpr std::uint64_t kNoVer = ~0ULL;
@@ -33,10 +33,8 @@ AsyncPsJob::AsyncPsJob(const JobConfig &cfg) : JobBase(cfg)
     pull_outstanding_.assign(workers_.size(), 0);
     push_retx_.resize(workers_.size());
     pull_retx_.resize(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-        configureTimer(push_retx_[i]);
-        configureTimer(pull_retx_[i]);
-    }
+    for (auto &t : pull_retx_)
+        configureTimer(t);
 }
 
 std::uint64_t
@@ -111,8 +109,7 @@ AsyncPsJob::onPsPacket(const net::PacketPtr &pkt)
         const std::size_t idx = raw->tag;
         if (idx >= workers_.size())
             return;
-        const std::uint64_t tid =
-            (srv_version_ << kWeightXferShift) | idx;
+        const std::uint64_t tid = encodeXfer(srv_version_, idx);
         net::Host *dst = workers_[idx].host;
         sim_->after(cfg_.overhead.send, [this, dst, tid] {
             sendVector(*cluster_.ps, dst->ip(), kWorkerPort, kPsPort,
@@ -121,10 +118,11 @@ AsyncPsJob::onPsPacket(const net::PacketPtr &pkt)
         return;
     }
     if (const auto *chunk = std::get_if<net::ChunkPayload>(&pkt->payload)) {
-        const std::size_t idx = chunk->transfer_id & kIdMask;
+        const XferId x = decodeXfer(chunk->transfer_id);
+        const std::size_t idx = x.low;
         if (idx >= srv_rx_.size())
             return;
-        const std::uint64_t seq = chunk->transfer_id >> kWeightXferShift;
+        const std::uint64_t seq = x.seq;
         if (seq <= srv_applied_[idx])
             return; // late retransmission of an applied push (seq >= 1)
         if (seq < srv_asm_seq_[idx])
@@ -170,7 +168,7 @@ AsyncPsJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
     const auto *chunk = std::get_if<net::ChunkPayload>(&pkt->payload);
     if (chunk == nullptr)
         return;
-    const std::uint64_t version = chunk->transfer_id >> kWeightXferShift;
+    const std::uint64_t version = decodeXfer(chunk->transfer_id).seq;
     if (rx_ver_[w.index] == kNoVer || version > rx_ver_[w.index]) {
         // First chunk of a reply, or a newer-version reply overtaking
         // a partial one (re-issued pull): restart assembly.
@@ -208,63 +206,48 @@ AsyncPsJob::lgc(WorkerCtx &w)
         const std::uint64_t v = stalenessVersion();
         if ((v > tw ? v - tw : 0) <= cfg_.staleness_bound) {
             const std::uint64_t seq = ++push_seq_[wp->index];
-            sim_->after(cfg_.overhead.send, [this, wp, seq] {
-                const std::uint64_t tid =
-                    (seq << kWeightXferShift) | wp->index;
-                if (recoveryEnabled())
-                    last_push_[wp->index] = wp->pending_grad;
-                sendVector(*wp->host, cluster_.ps->ip(), kPsPort,
-                           kWorkerPort, /*tos=*/0, tid,
-                           wp->pending_grad, fmt_, /*seg_base=*/0,
-                           /*job=*/0, /*ver_quota=*/0, wp->ppp.get());
-                push_retx_[wp->index].arm([this, wp, tid,
-                                           seq]() -> std::size_t {
-                    const std::size_t i = wp->index;
-                    if (stopped() || push_seq_[i] != seq)
-                        return 0;
-                    // Probe the server's assembler in its home domain
-                    // (a seq it never adopted is missing whole), hop
-                    // back here to resend.
-                    inDomainOf(cluster_.ps, [this, wp, tid, seq] {
-                        const std::size_t i = wp->index;
-                        if (stopped() || srv_applied_[i] >= seq ||
-                            srv_asm_seq_[i] > seq)
-                            return;
-                        std::vector<std::uint64_t> missing;
-                        if (srv_asm_seq_[i] == seq) {
-                            missing = srv_rx_[i].missingSegments();
-                        } else {
-                            missing.resize(fmt_.segments());
-                            for (std::uint64_t s = 0; s < missing.size();
-                                 ++s)
-                                missing[s] = s;
-                        }
-                        if (missing.empty())
-                            return;
-                        inDomainOf(wp->host,
-                                   [this, wp, tid, seq,
-                                    missing = std::move(missing)] {
-                            const std::size_t i = wp->index;
-                            if (stopped() || push_seq_[i] != seq)
-                                return;
-                            for (std::uint64_t seg : missing) {
-                                sendVectorSegment(
-                                    *wp->host, cluster_.ps->ip(), kPsPort,
-                                    kWorkerPort, /*tos=*/0, tid,
-                                    last_push_[i], fmt_, seg,
-                                    /*seg_base=*/0, /*job=*/0,
-                                    /*ver_quota=*/0, wp->ppp.get());
-                                ++recovery_.retransmits;
-                            }
-                        });
-                    });
-                    return 1;
-                });
-            });
+            sim_->after(cfg_.overhead.send,
+                        [this, wp, seq] { pushGradient(*wp, seq); });
         }
         ++wp->round;
         pullWeights(*wp);
     });
+}
+
+void
+AsyncPsJob::pushGradient(WorkerCtx &w, std::uint64_t seq)
+{
+    const std::uint64_t tid = encodeXfer(seq, w.index);
+    if (recoveryEnabled())
+        last_push_[w.index] = w.pending_grad;
+    sendVector(*w.host, cluster_.ps->ip(), kPsPort, kWorkerPort, /*tos=*/0,
+               tid, w.pending_grad, fmt_, /*seg_base=*/0, /*job=*/0,
+               /*ver_quota=*/0, w.ppp.get());
+    // Guarded until the server's completion defers a done() here, or a
+    // newer push supersedes this one.
+    WorkerCtx *wp = &w;
+    guardTransfer(
+        push_retx_[w.index], w.host, cluster_.ps,
+        [this, wp, seq] {
+            return !stopped() && push_seq_[wp->index] == seq;
+        },
+        [this, i = w.index, seq] {
+            std::vector<std::uint64_t> missing;
+            if (srv_applied_[i] >= seq || srv_asm_seq_[i] > seq)
+                return missing; // applied, or superseded by a newer push
+            if (srv_asm_seq_[i] == seq)
+                return srv_rx_[i].missingSegments();
+            missing.resize(fmt_.segments()); // never adopted: all missing
+            std::iota(missing.begin(), missing.end(), std::uint64_t{0});
+            return missing;
+        },
+        [this, wp, tid](std::uint64_t seg) {
+            sendVectorSegment(*wp->host, cluster_.ps->ip(), kPsPort,
+                              kWorkerPort, /*tos=*/0, tid,
+                              last_push_[wp->index], fmt_, seg,
+                              /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
+                              wp->ppp.get());
+        });
 }
 
 } // namespace isw::dist

@@ -31,6 +31,8 @@ class AsyncPsJob : public JobBase
   private:
     void pullWeights(WorkerCtx &w);
     void lgc(WorkerCtx &w);
+    /** Send (and guard) @p w's gradient as its push number @p seq. */
+    void pushGradient(WorkerCtx &w, std::uint64_t seq);
     void onPsPacket(const net::PacketPtr &pkt);
     void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
 

@@ -5,36 +5,6 @@
 
 namespace isw::dist {
 
-namespace {
-/**
- * Transfer ids stamp the round so a straggling retransmission from
- * round r can never pollute round r+1's assembler: gradients use
- * (round << kRoundShift) | worker, shard results are
- * (round << kRoundShift) | shard with kResultFlag set.
- */
-constexpr std::uint64_t kRoundShift = 20;
-constexpr std::uint64_t kIdMask = (1ULL << kRoundShift) - 1;
-constexpr std::uint64_t kResultFlag = 1ULL << 63;
-
-constexpr std::uint64_t
-makeTid(std::uint64_t round, std::uint64_t id)
-{
-    return (round << kRoundShift) | id;
-}
-
-constexpr std::uint64_t
-tidRound(std::uint64_t tid)
-{
-    return (tid & ~kResultFlag) >> kRoundShift;
-}
-
-constexpr std::uint64_t
-tidId(std::uint64_t tid)
-{
-    return tid & kIdMask;
-}
-} // namespace
-
 SyncPsJob::SyncPsJob(const JobConfig &cfg) : JobBase(cfg)
 {
     const std::size_t k = cluster_.ps_shards.size();
@@ -66,10 +36,6 @@ SyncPsJob::SyncPsJob(const JobConfig &cfg) : JobBase(cfg)
             in.slices.emplace_back(sh.fmt);
     grad_retx_.resize(workers_.size() * k);
     result_retx_.resize(workers_.size() * k);
-    for (auto &t : grad_retx_)
-        configureTimer(t);
-    for (auto &t : result_retx_)
-        configureTimer(t);
 }
 
 void
@@ -98,76 +64,53 @@ SyncPsJob::beginRound(WorkerCtx &w)
         // Scatter: one message per shard, each charged a send posting.
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             const std::uint64_t r = wp->round;
-            sim_->after(cfg_.overhead.send * (s + 1), [this, wp, s, r] {
-                const Shard &sh = shards_[s];
-                const std::span<const float> slice(
-                    wp->pending_grad.data() + sh.log_begin,
-                    sh.log_end - sh.log_begin);
-                sendVector(*wp->host, cluster_.ps_shards[s]->ip(),
-                           kPsPort, kWorkerPort, /*tos=*/0,
-                           makeTid(r, wp->index), slice, sh.fmt,
-                           /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                           wp->ppp.get());
-                // Guard this slice (the ack channel is modeled as free;
-                // data resends pay full wire cost).
-                grad_retx_[wp->index * shards_.size() + s].arm(
-                    [this, wp, s, r]() -> std::size_t {
-                        if (stopped())
-                            return 0;
-                        // The shard's assembler lives in its own
-                        // domain, so the timer probes it there and the
-                        // resend hops back to the worker's domain. The
-                        // timer stays armed (return 1) until the
-                        // shard's completion defers a done() here.
-                        inDomainOf(cluster_.ps_shards[s],
-                                   [this, wp, s, r] {
-                            if (stopped() || shards_[s].round != r)
-                                return;
-                            std::vector<std::uint64_t> missing =
-                                shards_[s].rx[wp->index].missingSegments();
-                            if (missing.empty())
-                                return;
-                            inDomainOf(wp->host,
-                                       [this, wp, s, r,
-                                        missing = std::move(missing)] {
-                                if (stopped() || wp->round != r)
-                                    return;
-                                const Shard &sh = shards_[s];
-                                for (std::uint64_t seg : missing) {
-                                    sendVectorSegment(
-                                        *wp->host,
-                                        cluster_.ps_shards[s]->ip(),
-                                        kPsPort, kWorkerPort, /*tos=*/0,
-                                        makeTid(r, wp->index),
-                                        std::span<const float>(
-                                            wp->pending_grad.data() +
-                                                sh.log_begin,
-                                            sh.log_end - sh.log_begin),
-                                        sh.fmt, seg, /*seg_base=*/0,
-                                        /*job=*/0, /*ver_quota=*/0,
-                                        wp->ppp.get());
-                                    ++recovery_.retransmits;
-                                }
-                            });
-                        });
-                        return 1;
-                    });
-            });
+            sim_->after(cfg_.overhead.send * (s + 1),
+                        [this, wp, s, r] { sendGradSlice(*wp, s, r); });
         }
     });
+}
+
+void
+SyncPsJob::sendGradSlice(WorkerCtx &w, std::size_t shard, std::uint64_t round)
+{
+    const Shard &sh = shards_[shard];
+    net::Host *ps = cluster_.ps_shards[shard];
+    // The id stamps the round, so a straggling retransmission from
+    // round r can never pollute round r+1's assembler.
+    const std::uint64_t tid = encodeXfer(round, w.index);
+    sendVector(*w.host, ps->ip(), kPsPort, kWorkerPort, /*tos=*/0, tid,
+               workerSlice(w, sh), sh.fmt, /*seg_base=*/0, /*job=*/0,
+               /*ver_quota=*/0, w.ppp.get());
+    // Guarded until the shard's completion defers a done() here.
+    WorkerCtx *wp = &w;
+    guardTransfer(
+        grad_retx_[w.index * shards_.size() + shard], w.host, ps,
+        [this, wp, round] { return !stopped() && wp->round == round; },
+        [this, wp, shard, round] {
+            const Shard &sh = shards_[shard];
+            return sh.round == round ? sh.rx[wp->index].missingSegments()
+                                     : std::vector<std::uint64_t>{};
+        },
+        [this, wp, shard, ps, tid](std::uint64_t seg) {
+            const Shard &sh = shards_[shard];
+            sendVectorSegment(*wp->host, ps->ip(), kPsPort, kWorkerPort,
+                              /*tos=*/0, tid, workerSlice(*wp, sh), sh.fmt,
+                              seg, /*seg_base=*/0, /*job=*/0,
+                              /*ver_quota=*/0, wp->ppp.get());
+        });
 }
 
 void
 SyncPsJob::onShardPacket(std::size_t shard, const net::PacketPtr &pkt)
 {
     const auto *chunk = std::get_if<net::ChunkPayload>(&pkt->payload);
-    if (chunk == nullptr || (chunk->transfer_id & kResultFlag) != 0)
+    if (chunk == nullptr)
         return;
+    const XferId x = decodeXfer(chunk->transfer_id);
     Shard &sh = shards_[shard];
-    const std::uint64_t widx = tidId(chunk->transfer_id);
-    if (widx >= workers_.size() ||
-        tidRound(chunk->transfer_id) != sh.round)
-        return; // stale round (late retransmission): drop
+    const std::uint64_t widx = x.low;
+    if (x.flag || widx >= workers_.size() || x.seq != sh.round)
+        return; // result slice, or stale round (late retransmission)
     if (sh.rx[widx].offer(*chunk)) {
         // The timer lives in the worker's domain; done() hops there.
         deferDone(grad_retx_[widx * shards_.size() + shard],
@@ -212,57 +155,44 @@ SyncPsJob::shardAggregate(std::size_t shard)
             WorkerCtx *wp = &workers_[i];
             sim_->after(cfg_.overhead.send * (i + 1),
                         [this, shard, wp, round] {
-                const std::uint64_t tid =
-                    kResultFlag | makeTid(round, shard);
-                Shard &sh = shards_[shard];
-                sendVector(*cluster_.ps_shards[shard], wp->host->ip(),
-                           kWorkerPort, kPsPort, /*tos=*/0, tid, sh.sum,
-                           sh.fmt, /*seg_base=*/0, /*job=*/0,
-                           /*ver_quota=*/0, sh.ppp.get());
-                // Guard the result slice; sh.sum is stable until every
-                // worker finished this round (a worker missing this
-                // slice cannot have scattered the next round's slice).
-                result_retx_[wp->index * shards_.size() + shard].arm(
-                    [this, shard, wp, tid, round]() -> std::size_t {
-                        if (stopped())
-                            return 0;
-                        // Probe the worker's assembler in its domain,
-                        // then resend from the shard's domain. The
-                        // round guard on the shard side keeps stale
-                        // resends off a recycled sum.
-                        inDomainOf(wp->host, [this, shard, wp, tid,
-                                              round] {
-                            if (stopped() || wp->round != round)
-                                return;
-                            std::vector<std::uint64_t> missing =
-                                inbox_[wp->index]
-                                    .slices[shard]
-                                    .missingSegments();
-                            if (missing.empty())
-                                return;
-                            inDomainOf(cluster_.ps_shards[shard],
-                                       [this, shard, wp, tid, round,
-                                        missing = std::move(missing)] {
-                                Shard &sh = shards_[shard];
-                                if (stopped() || sh.round != round + 1)
-                                    return;
-                                for (std::uint64_t seg : missing) {
-                                    sendVectorSegment(
-                                        *cluster_.ps_shards[shard],
-                                        wp->host->ip(), kWorkerPort,
-                                        kPsPort, /*tos=*/0, tid, sh.sum,
-                                        sh.fmt, seg, /*seg_base=*/0,
-                                        /*job=*/0, /*ver_quota=*/0,
-                                        sh.ppp.get());
-                                    ++recovery_.retransmits;
-                                }
-                            });
+                            sendResultSlice(shard, *wp, round);
                         });
-                        return 1;
-                    });
-            });
         }
     });
+}
+
+void
+SyncPsJob::sendResultSlice(std::size_t shard, WorkerCtx &w,
+                           std::uint64_t round)
+{
+    const Shard &sh = shards_[shard];
+    net::Host *ps = cluster_.ps_shards[shard];
+    const std::uint64_t tid = encodeXfer(round, shard, /*flag=*/true);
+    sendVector(*ps, w.host->ip(), kWorkerPort, kPsPort, /*tos=*/0, tid,
+               sh.sum, sh.fmt, /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
+               sh.ppp.get());
+    // Guarded until the worker's completion defers a done() here. sh.sum
+    // is stable until every worker finished this round (a worker missing
+    // this slice cannot have scattered the next round's slice); the
+    // shard's round keeps resends off a recycled sum.
+    WorkerCtx *wp = &w;
+    guardTransfer(
+        result_retx_[w.index * shards_.size() + shard], ps, w.host,
+        [this, shard, round] {
+            return !stopped() && shards_[shard].round == round + 1;
+        },
+        [this, wp, shard, round] {
+            return wp->round == round
+                       ? inbox_[wp->index].slices[shard].missingSegments()
+                       : std::vector<std::uint64_t>{};
+        },
+        [this, wp, shard, ps, tid](std::uint64_t seg) {
+            const Shard &sh = shards_[shard];
+            sendVectorSegment(*ps, wp->host->ip(), kWorkerPort, kPsPort,
+                              /*tos=*/0, tid, sh.sum, sh.fmt, seg,
+                              /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
+                              sh.ppp.get());
+        });
 }
 
 void
@@ -271,12 +201,12 @@ SyncPsJob::onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt)
     if (checkFailoverFrame(pkt))
         return;
     const auto *chunk = std::get_if<net::ChunkPayload>(&pkt->payload);
-    if (chunk == nullptr || (chunk->transfer_id & kResultFlag) == 0)
+    if (chunk == nullptr)
         return;
-    const auto shard = static_cast<std::size_t>(tidId(chunk->transfer_id));
-    if (shard >= shards_.size() ||
-        tidRound(chunk->transfer_id) != w.round)
-        return; // stale round (late retransmission): drop
+    const XferId x = decodeXfer(chunk->transfer_id);
+    const auto shard = static_cast<std::size_t>(x.low);
+    if (!x.flag || shard >= shards_.size() || x.seq != w.round)
+        return; // gradient slice, or stale round (late retransmission)
     Inbox &in = inbox_[w.index];
     if (in.slices[shard].offer(*chunk)) {
         // The timer lives in the shard's domain; done() hops there.

@@ -66,9 +66,22 @@ class SyncPsJob : public JobBase
         ml::Vec agg;          ///< the stitched aggregate
     };
 
+    /** The part of @p w's gradient that shard @p sh sums. */
+    static std::span<const float>
+    workerSlice(const WorkerCtx &w, const Shard &sh)
+    {
+        return {w.pending_grad.data() + sh.log_begin,
+                sh.log_end - sh.log_begin};
+    }
+
     void beginRound(WorkerCtx &w);
+    /** Send (and guard) @p w's round-@p round slice to @p shard. */
+    void sendGradSlice(WorkerCtx &w, std::size_t shard, std::uint64_t round);
     void onShardPacket(std::size_t shard, const net::PacketPtr &pkt);
     void shardAggregate(std::size_t shard);
+    /** Send (and guard) @p shard's round-@p round sum to @p w. */
+    void sendResultSlice(std::size_t shard, WorkerCtx &w,
+                         std::uint64_t round);
     void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
     void onSlicesComplete(WorkerCtx &w);
 

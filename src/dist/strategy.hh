@@ -353,6 +353,48 @@ class JobBase
     void deferDone(RetxTimer &t, const net::Node *home);
 
     /**
+     * Guard one endpoint transfer from @p src to @p dst with @p t, in
+     * @p src's domain right after the send: the one probe-and-resend
+     * rule of the PS, ring and async-PS transfers (DESIGN.md §10, free
+     * ack). Each timeout with live() true hops to @p dst's domain,
+     * where missing() lists the segments the receiver still lacks
+     * (none once it holds them all or has moved on), then hops back
+     * and, if live() still holds, calls resend(seg) for each and counts
+     * it. The timer stays armed until the completion path calls done()
+     * (deferDone across domains) or a firing finds live() false. With
+     * recovery off it arms nothing and allocates nothing.
+     */
+    template <class Live, class Missing, class Resend>
+    void
+    guardTransfer(RetxTimer &t, const net::Node *src, const net::Node *dst,
+                  Live live, Missing missing, Resend resend)
+    {
+        if (!recovery_on_)
+            return;
+        t.configure(*sim_, retx_, recovery_);
+        t.arm([this, src, dst, live, missing, resend]() -> std::size_t {
+            if (!live())
+                return 0;
+            inDomainOf(dst, [this, src, live, missing, resend] {
+                if (stopped())
+                    return;
+                std::vector<std::uint64_t> segs = missing();
+                if (segs.empty())
+                    return;
+                inDomainOf(src, [this, live, resend, segs = std::move(segs)] {
+                    if (!live())
+                        return;
+                    for (std::uint64_t seg : segs) {
+                        resend(seg);
+                        ++recovery_.retransmits;
+                    }
+                });
+            });
+            return 1;
+        });
+    }
+
+    /**
      * Window-barrier callback (sharded runs only): invoked on the
      * owning thread after every conservative window, with all domains
      * quiescent. Async strategies publish their cross-domain version

@@ -49,18 +49,10 @@ sendVector(net::Host &host, net::Ipv4Addr dst_ip, std::uint16_t dst_port,
            std::span<const std::int8_t> seg_qexp)
 {
     const std::uint64_t segs = fmt.segments();
-    for (std::uint64_t seg = 0; seg < segs; ++seg) {
-        net::ChunkPayload chunk;
-        chunk.transfer_id = transfer_id;
-        chunk.seg = seg_base + seg;
-        chunk.job = job;
-        if (ver_quota != 0)
-            chunk.ver = static_cast<std::uint8_t>(
-                (chunk.seg / ver_quota) & 1);
-        chunk.wire_floats = core::floatsInSeg(seg, fmt.wire_bytes);
-        fillChunk(chunk, logical, fmt, seg, ppp, seg_qexp);
-        host.sendTo(dst_ip, dst_port, src_port, tos, std::move(chunk));
-    }
+    for (std::uint64_t seg = 0; seg < segs; ++seg)
+        sendVectorSegment(host, dst_ip, dst_port, src_port, tos,
+                          transfer_id, logical, fmt, seg, seg_base, job,
+                          ver_quota, ppp, seg_qexp);
 }
 
 void

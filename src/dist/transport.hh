@@ -91,6 +91,39 @@ struct WireFormat
 };
 
 /**
+ * Decoded transfer id of an endpoint transfer (sync PS, Ring-AllReduce,
+ * async PS): one layout for every strategy. The round or sequence
+ * number fills bits 20-62, so a late retransmission from an older round
+ * never matches a newer round's assembler; the low 20 bits name the
+ * worker, shard or ring step (each below 2^20); bit 63 is a flag that
+ * sync PS sets on its result slices.
+ */
+struct XferId
+{
+    std::uint64_t seq = 0; ///< round or sequence number
+    std::uint64_t low = 0; ///< worker, shard or ring step
+    bool flag = false;
+};
+
+inline constexpr std::uint64_t kXferLowBits = 20;
+inline constexpr std::uint64_t kXferFlag = 1ULL << 63;
+
+/** Pack a transfer id (layout: XferId). */
+constexpr std::uint64_t
+encodeXfer(std::uint64_t seq, std::uint64_t low, bool flag = false)
+{
+    return (flag ? kXferFlag : 0) | (seq << kXferLowBits) | low;
+}
+
+/** Unpack a transfer id made by encodeXfer. */
+constexpr XferId
+decodeXfer(std::uint64_t id)
+{
+    return {(id & ~kXferFlag) >> kXferLowBits,
+            id & ((1ULL << kXferLowBits) - 1), (id & kXferFlag) != 0};
+}
+
+/**
  * Enqueue the packets of one vector on @p host's NIC.
  *
  * All segments are posted back-to-back; link serialization paces them.
@@ -188,12 +221,13 @@ struct RecoveryStats
  * One guarded operation's retransmission timer.
  *
  * arm(resend) starts the clock; when it expires, @p resend is invoked
- * and must re-send whatever is still missing, returning how many items
- * it re-sent (0 = nothing missing: the timer disarms silently). While
- * work remains the timer re-arms with exponential backoff until the
+ * and must re-send whatever is still missing (or start to), returning
+ * 0 when nothing is missing, which disarms the timer silently.
+ * Otherwise the timer re-arms with exponential backoff until the
  * retry cap, then gives up. done() stops the timer and records the
  * recovery latency if any timeout had fired; re-arming an armed timer
- * counts as progress the same way.
+ * counts as progress the same way. Endpoint transfers arm it through
+ * JobBase::guardTransfer, which supplies the resend callback.
  *
  * Unconfigured timers (lossless runs) make every call a no-op, so
  * strategies can arm/done unconditionally without scheduling a single

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dist/iswitch_async.hh"
 #include "dist/strategy.hh"
 
@@ -183,6 +185,34 @@ TEST(SyncIswitch, HierarchicalTreeMatchesStarWeights)
     ASSERT_EQ(star.size(), tree.size());
     for (std::size_t i = 0; i < star.size(); ++i)
         ASSERT_NEAR(star[i], tree[i], 1e-5f) << "index " << i;
+}
+
+TEST(SyncAllReduce, EveryWorkerAgreesPast501Workers)
+{
+    // A ring of N workers runs steps 0..2N-3, so from 502 workers up a
+    // round reaches step 1000. Its transfer id must not decode as any
+    // other (round, step): a receiver would size the assembler for the
+    // wrong chunk and fold too few or too many floats. One round must
+    // leave every replica bit-identical to worker 0.
+    JobConfig cfg =
+        quickConfig(rl::Algo::kPpo, StrategyKind::kSyncAllReduce, 1);
+    cfg.num_workers = 502;
+    cfg.use_tree = true;
+    cfg.cluster.per_rack = 126; // 4 racks
+    auto job = makeJob(cfg);
+    const RunResult res = job->run();
+    ASSERT_TRUE(res.ok()) << res.error;
+    ml::Vec w0;
+    job->workerAgent(0).getWeights(w0);
+    std::size_t differing = 0;
+    for (std::size_t i = 1; i < cfg.num_workers; ++i) {
+        ml::Vec w;
+        job->workerAgent(i).getWeights(w);
+        if (w.size() != w0.size() ||
+            std::memcmp(w.data(), w0.data(), w.size() * sizeof(float)) != 0)
+            ++differing;
+    }
+    EXPECT_EQ(differing, 0u);
 }
 
 TEST(AsyncIswitch, StalenessBoundSkipsStaleGradients)
