@@ -27,6 +27,45 @@ BM_AffineForward(benchmark::State &state)
 }
 BENCHMARK(BM_AffineForward)->Arg(64)->Arg(256);
 
+/** One input row, as when an agent picks an action. */
+void
+BM_AffineForwardRow(benchmark::State &state)
+{
+    const auto dim = static_cast<std::size_t>(state.range(0));
+    ml::Matrix x(1, dim, 0.5f);
+    ml::Matrix w(dim, dim, 0.01f);
+    ml::Vec b(dim, 0.0f);
+    ml::Matrix y;
+    for (auto _ : state) {
+        ml::affineForward(x, w, b, y);
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(dim * dim));
+}
+BENCHMARK(BM_AffineForwardRow)->Arg(64);
+
+void
+BM_AffineBackward(benchmark::State &state)
+{
+    const auto dim = static_cast<std::size_t>(state.range(0));
+    ml::Matrix x(32, dim, 0.5f);
+    ml::Matrix w(dim, dim, 0.01f);
+    ml::Matrix dy(32, dim, 0.02f);
+    ml::Matrix dw(dim, dim);
+    ml::Vec db(dim, 0.0f);
+    ml::Matrix dx;
+    for (auto _ : state) {
+        ml::affineBackward(dy, x, w, dw, db, dx);
+        benchmark::DoNotOptimize(dx.data());
+        benchmark::DoNotOptimize(dw.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            32 * static_cast<std::int64_t>(dim * dim));
+}
+BENCHMARK(BM_AffineBackward)->Arg(64);
+
 void
 BM_MlpForwardBackward(benchmark::State &state)
 {

@@ -1,8 +1,11 @@
 /**
  * @file
  * Minimal dense math types for the NN substrate: a row-major float
- * matrix and a few free-function kernels. Sized for the small models
- * RL training uses; clarity over BLAS-level tuning.
+ * matrix and a few free-function kernels, sized for the small models
+ * RL training uses. The dense-layer kernels are register-blocked over
+ * 4-float vectors, so they vectorize in the default -O2 build, and add
+ * every output's terms in the order of the plain loops: results are
+ * bit-identical at every optimization level.
  */
 
 #ifndef ISW_ML_TENSOR_HH

@@ -4,7 +4,7 @@
 
 namespace isw::rl {
 
-ReplayBuffer::ReplayBuffer(std::size_t capacity) : buf_(capacity)
+ReplayBuffer::ReplayBuffer(std::size_t capacity) : capacity_(capacity)
 {
     if (capacity == 0)
         throw std::invalid_argument("ReplayBuffer: zero capacity");
@@ -13,10 +13,12 @@ ReplayBuffer::ReplayBuffer(std::size_t capacity) : buf_(capacity)
 void
 ReplayBuffer::push(Transition t)
 {
-    buf_[head_] = std::move(t);
-    head_ = (head_ + 1) % buf_.size();
-    if (size_ < buf_.size())
-        ++size_;
+    // While filling, head_ == size(): the new slot is the next one.
+    if (buf_.size() < capacity_)
+        buf_.push_back(std::move(t));
+    else
+        buf_[head_] = std::move(t);
+    head_ = (head_ + 1) % capacity_;
 }
 
 void
@@ -29,7 +31,7 @@ ReplayBuffer::sample(std::size_t n, sim::Rng &rng,
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         const auto idx = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(size_) - 1));
+            rng.uniformInt(0, static_cast<std::int64_t>(size()) - 1));
         out.push_back(&buf_[idx]);
     }
 }

@@ -8,6 +8,7 @@
 #define ISW_RL_REPLAY_BUFFER_HH
 
 #include <cstddef>
+#include <deque>
 #include <vector>
 
 #include "ml/tensor.hh"
@@ -26,7 +27,16 @@ struct Transition
     bool done = false;
 };
 
-/** Fixed-capacity ring buffer with uniform random sampling. */
+/**
+ * Fixed-capacity ring buffer with uniform random sampling. Storage
+ * grows one slot per push until it reaches the capacity and never past
+ * it, so an agent that stores a few thousand transitions pays for
+ * those, not for the whole capacity. Growing a deque neither copies
+ * stored transitions nor moves them, so pointers from sample() never
+ * dangle. Once full, each push overwrites the oldest slot: slot i
+ * always holds the newest transition pushed at a position congruent
+ * to i modulo the capacity.
+ */
 class ReplayBuffer
 {
   public:
@@ -34,20 +44,21 @@ class ReplayBuffer
 
     void push(Transition t);
 
-    std::size_t size() const { return size_; }
-    std::size_t capacity() const { return buf_.size(); }
-    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return buf_.size(); }
+    std::size_t capacity() const { return capacity_; }
+    bool empty() const { return buf_.empty(); }
 
     /** Sample @p n transitions (with replacement) into @p out. */
     void sample(std::size_t n, sim::Rng &rng,
                 std::vector<const Transition *> &out) const;
 
+    /** Slot @p i, for i < size(). */
     const Transition &at(std::size_t i) const { return buf_.at(i); }
 
   private:
-    std::vector<Transition> buf_;
+    std::deque<Transition> buf_;
+    std::size_t capacity_;
     std::size_t head_ = 0;
-    std::size_t size_ = 0;
 };
 
 } // namespace isw::rl

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "ml/tensor.hh"
+#include "sim/random.hh"
 
 namespace isw::ml {
 namespace {
@@ -104,6 +110,150 @@ TEST(AffineBackward, AccumulatesAcrossBatch)
     affineBackward(dy, x, w, dw, db, dx);
     EXPECT_FLOAT_EQ(dw.at(0, 0), 3.0f); // 1 + 2
     EXPECT_FLOAT_EQ(db[0], 2.0f);
+}
+
+/** out = x W^T + b in the plain loop order: each output adds its
+ *  products to b[o] in i order. */
+void
+plainForward(const Matrix &x, const Matrix &w, const Vec &b, Matrix &out)
+{
+    out = Matrix(x.rows(), w.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        for (std::size_t o = 0; o < w.rows(); ++o) {
+            float acc = b[o];
+            for (std::size_t i = 0; i < x.cols(); ++i)
+                acc += x.at(r, i) * w.at(o, i);
+            out.at(r, o) = acc;
+        }
+}
+
+/** The fused backward loop: per row r, per output o, every input i. */
+void
+plainBackward(const Matrix &dy, const Matrix &x, const Matrix &w, Matrix &dw,
+              Vec &db, Matrix &dx)
+{
+    dx = Matrix(x.rows(), x.cols());
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        for (std::size_t o = 0; o < w.rows(); ++o) {
+            const float g = dy.at(r, o);
+            db[o] += g;
+            for (std::size_t i = 0; i < x.cols(); ++i) {
+                dw.at(o, i) += g * x.at(r, i);
+                dx.at(r, i) += g * w.at(o, i);
+            }
+        }
+}
+
+/** Mostly U(-1, 1), with signed zeros and magnitudes near 1e±30 (whose
+ *  products overflow to ±inf and then NaN); with @p specials, also
+ *  NaN and ±inf inputs. */
+float
+kernelInput(sim::Rng &rng, bool specials)
+{
+    const float u = static_cast<float>(rng.uniform(-1.0, 1.0));
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    switch (rng.uniformInt(0, 19)) {
+      case 0: return 0.0f;
+      case 1: return -0.0f;
+      case 2: return 1e30f;
+      case 3: return -1e30f;
+      case 4: return 1e30f * u;
+      case 5: return 1e-30f * u;
+      case 6: return specials ? std::numeric_limits<float>::quiet_NaN() : u;
+      case 7: return specials ? kInf : u;
+      case 8: return specials ? -kInf : u;
+      default: return u;
+    }
+}
+
+void
+fillInputs(std::vector<float> &v, sim::Rng &rng, bool specials)
+{
+    for (float &f : v)
+        f = kernelInput(rng, specials);
+}
+
+/** Bit-for-bit equality. With @p nan_any, any NaN matches any NaN:
+ *  when two NaNs with different payloads meet in an add, x86 keeps the
+ *  first operand's, and for a commutative op the compiler picks the
+ *  order, in the plain loops as much as in the kernels. */
+::testing::AssertionResult
+sameFloats(const std::vector<float> &got, const std::vector<float> &want,
+           bool nan_any)
+{
+    if (got.size() != want.size())
+        return ::testing::AssertionFailure() << "size " << got.size()
+                                             << " != " << want.size();
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        if (nan_any && std::isnan(got[k]) && std::isnan(want[k]))
+            continue;
+        if (std::bit_cast<std::uint32_t>(got[k]) !=
+            std::bit_cast<std::uint32_t>(want[k]))
+            return ::testing::AssertionFailure()
+                   << "element " << k << ": " << got[k] << " (0x" << std::hex
+                   << std::bit_cast<std::uint32_t>(got[k]) << ") != "
+                   << want[k] << " (0x"
+                   << std::bit_cast<std::uint32_t>(want[k]) << ")";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Runs both kernels and their plain-loop references on one random
+ *  problem of the given shape and compares every output. */
+void
+expectKernelsMatchPlainLoops(std::size_t batch, std::size_t in,
+                             std::size_t out, sim::Rng &rng, bool specials)
+{
+    SCOPED_TRACE(::testing::Message() << "batch " << batch << ", in " << in
+                                      << ", out " << out);
+    Matrix x(batch, in), w(out, in), dy(batch, out), dw(out, in);
+    Vec b(out), db(out);
+    fillInputs(x.raw(), rng, specials);
+    fillInputs(w.raw(), rng, specials);
+    fillInputs(dy.raw(), rng, specials);
+    fillInputs(dw.raw(), rng, specials);
+    fillInputs(b, rng, specials);
+    fillInputs(db, rng, specials);
+
+    Matrix y, y_ref;
+    affineForward(x, w, b, y);
+    plainForward(x, w, b, y_ref);
+    EXPECT_TRUE(sameFloats(y.raw(), y_ref.raw(), specials)) << "forward";
+
+    Matrix dw_ref = dw, dx, dx_ref;
+    Vec db_ref = db;
+    affineBackward(dy, x, w, dw, db, dx);
+    plainBackward(dy, x, w, dw_ref, db_ref, dx_ref);
+    EXPECT_TRUE(sameFloats(dw.raw(), dw_ref.raw(), specials)) << "dW";
+    EXPECT_TRUE(sameFloats(db, db_ref, specials)) << "db";
+    EXPECT_TRUE(sameFloats(dx.raw(), dx_ref.raw(), specials)) << "dX";
+}
+
+TEST(AffineKernels, BitIdenticalToPlainLoops)
+{
+    // Batches of 1-5 (agents choosing actions) in a third of the
+    // shapes, and sizes from 1 to 70: every block width and tail of
+    // the kernels, and mostly sizes that are not multiples of 4.
+    sim::Rng rng(24);
+    for (int shape = 0; shape < 600; ++shape) {
+        const auto dim = [&](std::int64_t hi) {
+            return static_cast<std::size_t>(rng.uniformInt(1, hi));
+        };
+        const std::size_t batch = shape % 3 == 0 ? dim(5) : dim(70);
+        const std::size_t in = dim(70);
+        const std::size_t out = dim(70);
+        expectKernelsMatchPlainLoops(batch, in, out, rng, /*specials=*/false);
+        if (HasFailure())
+            return;
+    }
+}
+
+TEST(AffineKernels, NanAndInfInputsMatchPlainLoops)
+{
+    // 21 inputs and 10 outputs reach every strip and tail.
+    sim::Rng rng(26);
+    for (std::size_t batch : {1u, 2u, 7u, 33u})
+        expectKernelsMatchPlainLoops(batch, 21, 10, rng, /*specials=*/true);
 }
 
 TEST(Kernels, Axpy)

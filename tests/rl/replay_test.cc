@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <stdexcept>
+
 #include "rl/replay_buffer.hh"
 
 namespace isw::rl {
@@ -40,6 +44,24 @@ TEST(ReplayBuffer, RingOverwritesOldest)
     // Slot 0 now holds tag 3.
     EXPECT_FLOAT_EQ(buf.at(0).reward, 3.0f);
     EXPECT_FLOAT_EQ(buf.at(1).reward, 2.0f);
+}
+
+TEST(ReplayBuffer, GrowsOnPushInRingOrder)
+{
+    // Slot i holds the newest of the pushes k with k % capacity == i.
+    const std::size_t cap = 5;
+    ReplayBuffer buf(cap);
+    for (std::size_t pushed = 1; pushed <= 3 * cap + 2; ++pushed) {
+        buf.push(t(float(pushed - 1)));
+        ASSERT_EQ(buf.size(), std::min(pushed, cap));
+        ASSERT_EQ(buf.capacity(), cap);
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+            const std::size_t newest = (pushed - 1 - i) / cap * cap + i;
+            EXPECT_FLOAT_EQ(buf.at(i).reward, float(newest))
+                << "slot " << i << " after " << pushed << " pushes";
+        }
+    }
+    EXPECT_THROW(buf.at(cap), std::out_of_range);
 }
 
 TEST(ReplayBuffer, SampleOnEmptyThrows)
