@@ -2,8 +2,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "core/accelerator.hh"
+#include "core/programmable_switch.hh"
 #include "core/seg_buffer.hh"
+#include "net/packet_pool.hh"
+#include "net/topology.hh"
 #include "sim/simulation.hh"
 
 namespace {
@@ -76,5 +82,55 @@ BM_AcceleratorDedupe(benchmark::State &state)
     }
 }
 BENCHMARK(BM_AcceleratorDedupe);
+
+/**
+ * One segment round on a warm star: N workers each send a full-MTU
+ * contribution through their link to a ProgrammableSwitch, which folds
+ * them (dedupe on, as in sync training) and fans the result back out
+ * to all N. The world persists across iterations, so rounds after the
+ * first run on recycled frames, slots and cache entries: the
+ * send -> switch -> deliver path in steady state.
+ */
+void
+BM_StarSegmentRound(benchmark::State &state)
+{
+    const auto workers = static_cast<std::size_t>(state.range(0));
+    constexpr std::uint16_t kSwPort = 9000;
+    constexpr std::uint16_t kWkPort = 9999;
+    sim::Simulation s{1};
+    net::Topology topo{s};
+    core::ProgrammableSwitchConfig cfg;
+    cfg.ip = net::Ipv4Addr(10, 0, 0, 1);
+    auto *sw = topo.addSwitch<core::ProgrammableSwitch>("sw0", workers, cfg);
+    sw->accelerator().setDedupeContributors(true);
+    std::vector<net::Host *> hosts;
+    std::size_t delivered = 0;
+    for (std::size_t i = 0; i < workers; ++i) {
+        const net::Ipv4Addr ip(10, 0, 1, static_cast<std::uint8_t>(i + 2));
+        net::Host *h = topo.addHost("w" + std::to_string(i), ip);
+        topo.connectHost(h, sw, i);
+        h->setReceiveHandler([&delivered](net::PacketPtr) { ++delivered; });
+        sw->adminJoin(ip, kWkPort, core::MemberType::kWorker);
+        hosts.push_back(h);
+    }
+    std::uint64_t seg = 0;
+    for (auto _ : state) {
+        for (net::Host *h : hosts) {
+            net::ChunkPayload chunk;
+            chunk.seg = seg;
+            chunk.wire_floats = 366;
+            chunk.values = net::PacketPool::local().acquireFloats(366);
+            chunk.values.assign(366, 1.0f);
+            h->sendTo(sw->ip(), kSwPort, kWkPort, net::kTosData,
+                      std::move(chunk));
+        }
+        s.run();
+        ++seg;
+        benchmark::DoNotOptimize(delivered);
+    }
+    if (delivered != seg * workers)
+        state.SkipWithError("a round lost a result");
+}
+BENCHMARK(BM_StarSegmentRound)->Arg(4)->Arg(12);
 
 } // namespace

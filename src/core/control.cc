@@ -1,16 +1,32 @@
 #include "core/control.hh"
 
+#include <algorithm>
+
 #include "core/protocol.hh"
 
 namespace isw::core {
+
+namespace {
+
+/** Row of member @p id in the id-ordered @p rows (the id is present). */
+template <class Rows>
+auto
+rowOf(Rows &rows, std::uint32_t id)
+{
+    return std::lower_bound(
+        rows.begin(), rows.end(), id,
+        [](const Member &m, std::uint32_t want) { return m.id < want; });
+}
+
+} // namespace
 
 std::uint32_t
 MembershipTable::join(net::Ipv4Addr ip, std::uint16_t udp_port,
                       MemberType type, std::uint8_t job, bool *changed)
 {
-    auto it = by_ip_.find(ip);
-    if (it != by_ip_.end()) {
-        Member &m = it->second;
+    auto it = ids_.find(ip);
+    if (it != ids_.end()) {
+        Member &m = *rowOf(rows_, it->second);
         if (changed != nullptr)
             *changed = m.udp_port != udp_port || m.type != type ||
                        m.job != job;
@@ -20,8 +36,8 @@ MembershipTable::join(net::Ipv4Addr ip, std::uint16_t udp_port,
         return m.id;
     }
     const std::uint32_t id = next_id_++;
-    by_ip_[ip] = Member{id, ip, udp_port, type, job};
-    by_id_[id] = ip;
+    rows_.push_back(Member{id, ip, udp_port, type, job});
+    ids_[ip] = id;
     if (changed != nullptr)
         *changed = true;
     return id;
@@ -30,31 +46,21 @@ MembershipTable::join(net::Ipv4Addr ip, std::uint16_t udp_port,
 bool
 MembershipTable::leave(net::Ipv4Addr ip)
 {
-    auto it = by_ip_.find(ip);
-    if (it == by_ip_.end())
+    auto it = ids_.find(ip);
+    if (it == ids_.end())
         return false;
-    by_id_.erase(it->second.id);
-    by_ip_.erase(it);
+    rows_.erase(rowOf(rows_, it->second));
+    ids_.erase(it);
     return true;
 }
 
 std::optional<Member>
 MembershipTable::find(net::Ipv4Addr ip) const
 {
-    auto it = by_ip_.find(ip);
-    if (it == by_ip_.end())
+    auto it = ids_.find(ip);
+    if (it == ids_.end())
         return std::nullopt;
-    return it->second;
-}
-
-std::vector<Member>
-MembershipTable::members() const
-{
-    std::vector<Member> out;
-    out.reserve(by_id_.size());
-    for (const auto &[id, ip] : by_id_)
-        out.push_back(by_ip_.at(ip));
-    return out;
+    return *rowOf(rows_, it->second);
 }
 
 void

@@ -111,15 +111,19 @@ class MembershipTable
     /** Look up a member by IP. */
     std::optional<Member> find(net::Ipv4Addr ip) const;
 
-    /** All members in id order. */
-    std::vector<Member> members() const;
+    /**
+     * All members in id order: the table's own rows, so a broadcast
+     * walks them without a copy. Valid until the next join or leave.
+     */
+    const std::vector<Member> &members() const { return rows_; }
 
-    std::size_t size() const { return by_ip_.size(); }
-    bool empty() const { return by_ip_.empty(); }
+    std::size_t size() const { return rows_.size(); }
+    bool empty() const { return rows_.empty(); }
 
   private:
-    std::map<std::uint32_t, net::Ipv4Addr> by_id_;
-    std::map<net::Ipv4Addr, Member> by_ip_;
+    /** Rows in id order: ids only grow, so a join appends. */
+    std::vector<Member> rows_;
+    std::map<net::Ipv4Addr, std::uint32_t> ids_;
     std::uint32_t next_id_ = 0;
 };
 

@@ -20,6 +20,8 @@ ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
           .reset_accel =
               [this] {
                   accel_.reset();
+                  for (auto &kv : result_cache_)
+                      releaseValues(kv.second);
                   result_cache_.clear();
               },
           .set_threshold =
@@ -52,7 +54,7 @@ ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
                       accel_.dedupeFor(segWordJob(key)))
                       return;
                   if (accel_.pool().has(key))
-                      (void)accel_.harvestPartial(key);
+                      dropPartial(key);
               },
           .membership_changed = [this] { refreshThreshold(); },
           .member_left =
@@ -202,9 +204,30 @@ ProgrammableSwitch::onResult(const net::PacketPtr &pkt)
         CachedResult res{chunk->values, chunk->wire_floats, 0,
                          ++seg_completions_[key], chunk->prec, chunk->qexp};
         broadcastResult(key, res);
-        result_cache_[key] = std::move(res);
-        pruneCache(key);
+        storeResult(key, std::move(res));
     }
+}
+
+void
+ProgrammableSwitch::releaseValues(CachedResult &res)
+{
+    if (res.pooled)
+        net::PacketPool::local().releaseFloats(std::move(res.values));
+}
+
+void
+ProgrammableSwitch::dropPartial(std::uint64_t key)
+{
+    net::PacketPool::local().releaseFloats(accel_.harvestPartial(key).acc);
+}
+
+void
+ProgrammableSwitch::storeResult(std::uint64_t key, CachedResult &&res)
+{
+    CachedResult &slot = result_cache_[key];
+    releaseValues(slot);
+    slot = std::move(res);
+    pruneCache(key);
 }
 
 void
@@ -226,8 +249,14 @@ ProgrammableSwitch::pruneCache(std::uint64_t latest_key)
             return false;
         return segWordIndex(key) < it->second - cfg_.cache_window;
     };
-    std::erase_if(result_cache_,
-                  [&stale](const auto &kv) { return stale(kv.first); });
+    for (auto it = result_cache_.begin(); it != result_cache_.end();) {
+        if (!stale(it->first)) {
+            ++it;
+            continue;
+        }
+        releaseValues(it->second);
+        it = result_cache_.erase(it);
+    }
     std::erase_if(seg_completions_,
                   [&stale](const auto &kv) { return stale(kv.first); });
 }
@@ -256,7 +285,8 @@ ProgrammableSwitch::onEmit(std::uint64_t key, SegState sum)
         return;
     }
     CachedResult res{std::move(sum.acc), sum.wire_floats, sum.count,
-                     ++seg_completions_[key], sum.prec, sum.qexp};
+                     ++seg_completions_[key], sum.prec, sum.qexp,
+                     /*pooled=*/true};
     broadcastResult(key, res);
     // HA primary: completions replicate via the result path (the
     // backup installs the result cache entry and drops any partial
@@ -264,8 +294,7 @@ ProgrammableSwitch::onEmit(std::uint64_t key, SegState sum)
     if (ha_primary_)
         repl_->onResult(key, res.values, res.wire_floats, res.count,
                         res.seq, res.prec, res.qexp);
-    result_cache_[key] = std::move(res);
-    pruneCache(key);
+    storeResult(key, std::move(res));
 }
 
 void
@@ -470,28 +499,29 @@ ProgrammableSwitch::onRepl(const net::PacketPtr &pkt)
         std::uint64_t &floor = seg_completions_[key];
         floor = std::max(floor, seq);
         if (accel_.pool().has(key))
-            (void)accel_.harvestPartial(key);
-        result_cache_[key] = std::move(res);
-        pruneCache(key);
+            dropPartial(key);
+        storeResult(key, std::move(res));
         ++ha_results_applied_;
         return;
     }
     // State frame: rebuild the segment replica wholesale (replace
-    // semantics — see replication.hh). The contributor set rides after
-    // the accumulator words.
-    SegState st;
+    // semantics — see replication.hh), in the slot's own storage. The
+    // contributor set rides after the accumulator words.
+    SegState &st = accel_.pool().replicaSlot(key);
     const std::uint32_t nc = replContributors(chunk->transfer_id);
     st.count = replCount(chunk->transfer_id);
     st.wire_floats = chunk->wire_floats;
     st.prec = chunk->prec;
     st.qexp = chunk->qexp;
     const std::size_t accn = chunk->values.size() - nc;
+    if (st.acc.capacity() == 0)
+        st.acc = net::PacketPool::local().acquireFloats(accn);
     st.acc.assign(chunk->values.begin(),
                   chunk->values.begin() + static_cast<std::ptrdiff_t>(accn));
+    st.contributors.clear();
     for (std::size_t i = 0; i < nc; ++i)
         st.contributors.insert(
             std::bit_cast<std::uint32_t>(chunk->values[accn + i]));
-    accel_.pool().installReplica(key, std::move(st));
     ++ha_state_applied_;
 }
 

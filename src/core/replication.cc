@@ -4,6 +4,7 @@
 
 #include "core/accelerator.hh"
 #include "core/protocol.hh"
+#include "net/packet_pool.hh"
 
 namespace isw::core {
 
@@ -29,14 +30,16 @@ ReplicatedAccelerator::sendState(std::uint64_t key)
     ch.wire_floats = st->wire_floats;
     ch.prec = st->prec;
     ch.qexp = st->qexp;
-    ch.values = st->acc;
     // The full contributor set rides after the accumulator words
     // (IPv4 bits bit-cast into float slots). Wire accounting charges
     // wire_floats only — the set is the real switch's per-slot
     // contributor bitmap, which fits the slot tag word.
-    ch.values.reserve(ch.values.size() + st->contributors.size());
-    for (const std::uint32_t c : st->contributors)
+    ch.values = net::PacketPool::local().acquireFloats(
+        st->acc.size() + st->contributors.size());
+    ch.values.assign(st->acc.begin(), st->acc.end());
+    st->contributors.forEach([&ch](std::uint32_t c) {
         ch.values.push_back(std::bit_cast<float>(c));
+    });
     send_(std::move(ch));
     ++stats_.state_frames;
 }
@@ -100,7 +103,8 @@ ReplicatedAccelerator::onResult(std::uint64_t key,
     ch.wire_floats = wire_floats;
     ch.prec = prec;
     ch.qexp = qexp;
-    ch.values = values;
+    ch.values = net::PacketPool::local().acquireFloats(values.size());
+    ch.values.assign(values.begin(), values.end());
     send_(std::move(ch));
     ++stats_.result_frames;
 }

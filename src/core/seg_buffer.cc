@@ -9,6 +9,81 @@
 
 namespace isw::core {
 
+namespace {
+
+/** Move @p st's sum out, leaving a clean slot that keeps its
+ *  contributor table (the accumulator leaves with the sum). */
+SegState
+takeSum(SegState &st)
+{
+    SegState out;
+    out.acc = std::move(st.acc);
+    out.count = st.count;
+    out.wire_floats = st.wire_floats;
+    out.prec = st.prec;
+    out.qexp = st.qexp;
+    st.acc.clear();
+    st.count = 0;
+    st.wire_floats = 0;
+    st.prec = net::Precision::kFp32;
+    st.qexp = 0;
+    st.contributors.clear();
+    return out;
+}
+
+} // namespace
+
+std::size_t
+ContributorSet::probe(std::uint32_t src) const
+{
+    const std::uint64_t want = std::uint64_t{src} + 1;
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i =
+        static_cast<std::size_t>(want * 0x9E3779B97F4A7C15ULL >> 32) & mask;
+    while (table_[i] != 0 && table_[i] != want)
+        i = (i + 1) & mask;
+    return i;
+}
+
+bool
+ContributorSet::insert(std::uint32_t src)
+{
+    // Load factor at most 1/2 keeps probe chains short.
+    if (2 * (size_ + 1) > table_.size())
+        grow();
+    std::uint64_t &bucket = table_[probe(src)];
+    if (bucket != 0)
+        return false;
+    bucket = std::uint64_t{src} + 1;
+    ++size_;
+    return true;
+}
+
+bool
+ContributorSet::contains(std::uint32_t src) const
+{
+    return !table_.empty() && table_[probe(src)] != 0;
+}
+
+void
+ContributorSet::clear()
+{
+    if (size_ != 0)
+        std::fill(table_.begin(), table_.end(), 0);
+    size_ = 0;
+}
+
+void
+ContributorSet::grow()
+{
+    std::vector<std::uint64_t> old = std::move(table_);
+    table_.assign(old.empty() ? 8 : 2 * old.size(), 0);
+    for (const std::uint64_t e : old) {
+        if (e != 0)
+            table_[probe(static_cast<std::uint32_t>(e - 1))] = e;
+    }
+}
+
 std::uint32_t
 SegBufferPool::findSlot(std::uint64_t seg) const
 {
@@ -171,7 +246,7 @@ SlotOutcome
 SegBufferPool::foldInto(SegState &st, const net::ChunkPayload &chunk,
                         std::uint32_t h, std::uint32_t src, bool dedupe)
 {
-    if (dedupe && !st.contributors.insert(src).second)
+    if (dedupe && !st.contributors.insert(src))
         return SlotOutcome::kDuplicate; // retransmission: already folded in
     st.wire_floats = std::max(st.wire_floats, chunk.wire_floats);
     if (st.count == 0) {
@@ -332,14 +407,14 @@ SegBufferPool::peek(std::uint64_t key) const
     return slot == kNoSlot ? nullptr : &slab_[slot];
 }
 
-void
-SegBufferPool::installReplica(std::uint64_t key, SegState st)
+SegState &
+SegBufferPool::replicaSlot(std::uint64_t key)
 {
     if (bounded())
         throw std::logic_error(
-            "SegBufferPool::installReplica: bounded pools unsupported "
+            "SegBufferPool::replicaSlot: bounded pools unsupported "
             "(HA backups run the unbounded dedicated-switch model)");
-    slab_[findOrInsert(key)] = std::move(st);
+    return slab_[findOrInsert(key)];
 }
 
 SegState
@@ -356,8 +431,7 @@ SegBufferPool::harvest(std::uint64_t key, bool completed)
             sl.seg != segWordIndex(key))
             throw std::out_of_range(
                 "SegBufferPool::harvest: no such segment");
-        SegState out = std::move(sl.st);
-        sl.st = SegState{};
+        SegState out = takeSum(sl.st);
         sl.used = false;
         // A completed segment moves the stale floor past itself so late
         // duplicates are dropped; a recovery drop leaves the floor so
@@ -370,15 +444,7 @@ SegBufferPool::harvest(std::uint64_t key, bool completed)
     const std::uint32_t slot = findSlot(key);
     if (slot == kNoSlot)
         throw std::out_of_range("SegBufferPool::harvest: no such segment");
-    SegState out = std::move(slab_[slot]);
-    // Park a clean, capacity-preserving slot for the next segment.
-    SegState &st = slab_[slot];
-    st.acc.clear();
-    st.count = 0;
-    st.wire_floats = 0;
-    st.prec = net::Precision::kFp32;
-    st.qexp = 0;
-    st.contributors.clear();
+    SegState out = takeSum(slab_[slot]);
     eraseIndex(key);
     free_.push_back(slot);
     --active_;
@@ -391,9 +457,9 @@ SegBufferPool::reclaimFrom(std::uint32_t src)
     std::size_t n = 0;
     if (bounded()) {
         for (Slot &sl : slots_) {
-            if (!sl.used || sl.st.contributors.count(src) == 0)
+            if (!sl.used || !sl.st.contributors.contains(src))
                 continue;
-            sl.st = SegState{};
+            (void)takeSum(sl.st);
             sl.used = false; // floor untouched: survivors may resend
             --active_;
             ++statsFor(sl.job).reclaimed;
@@ -404,7 +470,7 @@ SegBufferPool::reclaimFrom(std::uint32_t src)
     std::vector<std::uint64_t> keys;
     for (const Bucket &b : buckets_) {
         if (b.slot_plus1 != 0 &&
-            slab_[b.slot_plus1 - 1].contributors.count(src) != 0)
+            slab_[b.slot_plus1 - 1].contributors.contains(src))
             keys.push_back(b.seg);
     }
     for (std::uint64_t key : keys) {

@@ -8,13 +8,51 @@
 #define ISW_CORE_SEG_BUFFER_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/protocol.hh"
 #include "net/packet.hh"
 
 namespace isw::core {
+
+/**
+ * The sources folded into one segment (contributor dedupe): IPv4 bits
+ * in an open-addressed table (linear probing) that keeps its storage
+ * across clear(), so a recycled slot records the next segment's
+ * contributors without allocating. Lookups stay O(1) at hundreds of
+ * contributors.
+ */
+class ContributorSet
+{
+  public:
+    /** Add @p src; false if it was already present. */
+    bool insert(std::uint32_t src);
+    bool contains(std::uint32_t src) const;
+    std::size_t size() const { return size_; }
+    /** Forget every source, keeping the table. */
+    void clear();
+
+    /** Call @p fn with each source, in table order. */
+    template <class Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const std::uint64_t e : table_) {
+            if (e != 0)
+                fn(static_cast<std::uint32_t>(e - 1));
+        }
+    }
+
+  private:
+    /** Bucket holding @p src, or the empty bucket that ends its probe.
+     *  Requires a non-empty table. */
+    std::size_t probe(std::uint32_t src) const;
+    void grow();
+
+    /** Power-of-two buckets holding source + 1 (0 = empty). */
+    std::vector<std::uint64_t> table_;
+    std::size_t size_ = 0;
+};
 
 /** Accumulated contributions toward one segment of the gradient. */
 struct SegState
@@ -33,8 +71,9 @@ struct SegState
      *  contribution; later mismatched exponents are shift-rescaled. */
     net::Precision prec = net::Precision::kFp32;
     std::int8_t qexp = 0;
-    /** Sources folded in (used only under contributor dedupe). */
-    std::unordered_set<std::uint32_t> contributors;
+    /** Sources folded in (used only under contributor dedupe). A
+     *  harvested state leaves it behind with the slot, empty. */
+    ContributorSet contributors;
 };
 
 /** What the slot pool did with one offered contribution. */
@@ -151,11 +190,13 @@ class SegBufferPool
     std::uint32_t count(std::uint64_t key) const;
 
     /**
-     * Remove and return the state of Seg word @p key (complete or
-     * partial). @p completed distinguishes a finished segment (the
-     * slot's stale floor advances past it) from a recovery drop whose
-     * segment will be retransmitted and must stay admissible.
-     * Throws std::out_of_range if the segment is absent.
+     * Remove and return the sum of Seg word @p key (complete or
+     * partial): the accumulator and counters move out, while the slot
+     * keeps its contributor table for the next segment (the returned
+     * state's set is empty). @p completed distinguishes a finished
+     * segment (the slot's stale floor advances past it) from a
+     * recovery drop whose segment will be retransmitted and must stay
+     * admissible. Throws std::out_of_range if the segment is absent.
      */
     SegState harvest(std::uint64_t key, bool completed = true);
 
@@ -168,14 +209,16 @@ class SegBufferPool
     const SegState *peek(std::uint64_t key) const;
 
     /**
-     * Install a replicated snapshot of Seg word @p key, replacing any
-     * existing partial wholesale (replication frames carry the full
-     * accumulator and contributor set, so replace semantics make
-     * re-applied or reordered frames idempotent). Unbounded mode only;
-     * throws std::logic_error on a bounded pool — HA backups run the
-     * paper's dedicated-switch model.
+     * The slot of Seg word @p key (inserted empty if absent), for an
+     * HA backup to overwrite wholesale with a replicated snapshot
+     * (replication frames carry the full accumulator and contributor
+     * set, so replace semantics make re-applied or reordered frames
+     * idempotent). Writing in place keeps the slot's storage. The
+     * reference is invalidated by any other mutating call. Unbounded
+     * mode only; throws std::logic_error on a bounded pool — HA
+     * backups run the paper's dedicated-switch model.
      */
-    void installReplica(std::uint64_t key, SegState st);
+    SegState &replicaSlot(std::uint64_t key);
 
     /** Drop all partial state (control-plane Reset). */
     void clear();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "net/packet_pool.hh"
+
 namespace isw::dist {
 
 namespace {
@@ -37,7 +39,10 @@ runSharedJobs(const MultiJobConfig &cfg)
 
     // One world, one star fabric holding every job's workers, tagged
     // so the switch broadcasts each job's results only to its own
-    // members.
+    // members. Its frames come from a pool of its own, declared first
+    // so the world unwinds into it and it is freed with the world.
+    net::PacketPool frames;
+    const net::PacketPool::Scope frames_scope(frames);
     sim::Simulation sim(cfg.seed);
     ClusterConfig fabric_cfg = cfg.fabric;
     fabric_cfg.with_ps = false;

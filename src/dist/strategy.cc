@@ -1,6 +1,7 @@
 #include "dist/strategy.hh"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 #include "dist/allreduce.hh"
@@ -118,13 +119,14 @@ JobBase::JobBase(const JobConfig &cfg, const SharedWorld &world) : cfg_(cfg)
 
 JobBase::~JobBase()
 {
-    // An async run can stop with deliveries still queued, and a queued
-    // event's packet recycles into its sealing domain's pool when the
-    // engine's queues unwind. Drop the simulation first so those
-    // recycles land in still-live `domain_pools_` (member order would
-    // destroy the pools before `owned_sim_`).
+    // An async run can stop with deliveries still queued and frames in
+    // link FIFOs. Unwind the world with the job's own pool installed,
+    // so those frames recycle into it and are freed with the job
+    // instead of parking in the thread's pool past it.
+    const net::PacketPool::Scope pool_scope(own_pool_);
     sim_ = nullptr;
     owned_sim_.reset();
+    cluster_.topo.reset();
 }
 
 void
@@ -160,13 +162,15 @@ JobBase::enableSharding()
     plan.threads = cfg_.shard_threads;
     sim_->shard(plan);
     // One PacketPool per domain: every seal/recycle inside a window
-    // touches only the executing domain's free lists.
+    // touches only the executing domain's free lists. Enter and leave
+    // run on the same thread, so the Scope restores that thread's pool.
     domain_pools_.resize(plan.domains);
     sim_->engine().setDomainHooks(
         [this](sim::DomainId d) {
-            net::PacketPool::setLocalOverride(&domain_pools_[d]);
+            DomainPool &dp = domain_pools_[d];
+            dp.installed.emplace(dp.pool);
         },
-        [](sim::DomainId) { net::PacketPool::setLocalOverride(nullptr); });
+        [this](sim::DomainId d) { domain_pools_[d].installed.reset(); });
     // Async staleness snapshots publish at window barriers (the lambda
     // runs after construction, so the virtual dispatch reaches the
     // subclass override).
@@ -204,8 +208,8 @@ net::PacketPool::Stats
 JobBase::pooledPacketStats() const
 {
     net::PacketPool::Stats s = net::PacketPool::local().stats();
-    for (const net::PacketPool &p : domain_pools_) {
-        const net::PacketPool::Stats d = p.stats();
+    for (const DomainPool &dp : domain_pools_) {
+        const net::PacketPool::Stats d = dp.pool.stats();
         s.sealed += d.sealed;
         s.packet_allocs += d.packet_allocs;
         s.packet_reuses += d.packet_reuses;
@@ -506,6 +510,12 @@ JobBase::beginRun()
 RunResult
 JobBase::run()
 {
+    // A one-domain run draws every frame from the job's own pool, so
+    // the storage it grows is freed with the job; sharded windows
+    // install their domain's pool through the engine's hooks.
+    std::optional<net::PacketPool::Scope> pool_scope;
+    if (!sim_->sharded())
+        pool_scope.emplace(own_pool_);
     beginRun();
     // Generous runaway guard: every iteration costs a bounded number
     // of events (packets dominate), with extra headroom for loss

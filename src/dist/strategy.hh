@@ -19,6 +19,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "dist/cluster.hh"
 #include "dist/metrics.hh"
@@ -502,14 +503,27 @@ class JobBase
     /** Refresh @p w's published snapshot from its agent. */
     void publishWorker(const WorkerCtx &w);
 
-    /** Pool counters summed across the main thread and all domains. */
+    /** Pool counters summed across the calling thread's pool and every
+     *  domain's. */
     net::PacketPool::Stats pooledPacketStats() const;
 
     std::unique_ptr<net::FaultInjector> injector_;
     /** deque: atomics are neither movable nor copyable. */
     std::deque<PublishedWorker> published_;
+    /**
+     * This job's frame pool, freed with the job: run() installs it for
+     * a one-domain run, and the destructor while the world unwinds.
+     */
+    net::PacketPool own_pool_;
+    /** A sharded run's per-domain frame pool, and the Scope that
+     *  installs it on the thread running the domain's window. */
+    struct DomainPool
+    {
+        net::PacketPool pool;
+        std::optional<net::PacketPool::Scope> installed;
+    };
     /** Per-domain packet pools for sharded runs (index = domain id). */
-    std::deque<net::PacketPool> domain_pools_;
+    std::deque<DomainPool> domain_pools_;
     RetransmitPolicy retx_; ///< resolved policy (timeout never 0)
     bool recovery_on_ = false;
     std::uint8_t job_id_ = 0;

@@ -20,8 +20,10 @@ Link::connect(Node *a, std::size_t a_port, Node *b, std::size_t b_port)
 {
     if (ends_[0].node || ends_[1].node)
         throw std::logic_error("Link already connected: " + name_);
-    ends_[0] = End{a, a_port, 0, {}};
-    ends_[1] = End{b, b_port, 0, {}};
+    ends_[0].node = a;
+    ends_[0].port = a_port;
+    ends_[1].node = b;
+    ends_[1].port = b_port;
     a->attachLink(a_port, this);
     b->attachLink(b_port, this);
 }
@@ -58,14 +60,19 @@ Link::transmit(Node *from, PacketPtr pkt)
     End &tx = ends_[src];
     End &rx = ends_[1 - src];
 
+    const std::size_t bytes = pkt->wireBytes();
+    if (bytes != tx.last_tx_bytes) {
+        tx.last_tx_bytes = bytes;
+        tx.last_tx_ns = txTime(bytes);
+    }
     const sim::TimeNs now = sim_.now();
     const sim::TimeNs start = std::max(now, tx.busy_until);
-    const sim::TimeNs done = start + txTime(pkt->wireBytes());
+    const sim::TimeNs done = start + tx.last_tx_ns;
     tx.busy_until = done;
-    bytes_.fetch_add(pkt->wireBytes(), std::memory_order_relaxed);
+    tx.bytes_sent += bytes;
 
     if (cfg_.loss_prob > 0.0 && loss_rng_.bernoulli(cfg_.loss_prob)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+        ++tx.dropped;
         return; // the pipe time is still consumed: the frame was sent
     }
 
@@ -74,7 +81,7 @@ Link::transmit(Node *from, PacketPtr pkt)
     if (channel_ != nullptr) {
         const ChannelVerdict v = channel_->onFrame(*this, pkt);
         if (v.drop) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
+            ++tx.dropped;
             return;
         }
         extra = v.delay;
@@ -91,7 +98,7 @@ Link::transmit(Node *from, PacketPtr pkt)
     const std::uint64_t seq =
         eager ? 0 : sim_.reserveSeq(rx.node->domain());
     if (seq == 0) {
-        deliverAt(when, rx, pkt);
+        deliverAt(when, rx, std::move(pkt));
         return;
     }
     rx.inbound.push_back(Flight{when, seq, std::move(pkt)});
@@ -120,7 +127,7 @@ Link::deliverHead(End &rx)
 }
 
 void
-Link::deliverAt(sim::TimeNs when, const End &rx, const PacketPtr &pkt)
+Link::deliverAt(sim::TimeNs when, End &rx, PacketPtr pkt)
 {
     // The delivery event belongs to the *receiver's* shard domain:
     // this is the single point where causality crosses a domain
@@ -128,13 +135,15 @@ Link::deliverAt(sim::TimeNs when, const End &rx, const PacketPtr &pkt)
     // funds the engine's lookahead. atInDomain degenerates to a plain
     // schedule on un-sharded simulations.
     sim_.atInDomain(rx.node->domain(), when,
-                    [this, &rx, pkt] { land(rx, pkt); });
+                    [this, &rx, pkt = std::move(pkt)]() mutable {
+                        land(rx, std::move(pkt));
+                    });
 }
 
 void
-Link::land(const End &rx, PacketPtr pkt)
+Link::land(End &rx, PacketPtr pkt)
 {
-    delivered_.fetch_add(1, std::memory_order_relaxed);
+    ++rx.delivered;
     rx.node->deliver(std::move(pkt), rx.port);
 }
 

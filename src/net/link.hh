@@ -8,7 +8,6 @@
 #define ISW_NET_LINK_HH
 
 #include <array>
-#include <atomic>
 #include <deque>
 #include <string>
 
@@ -99,17 +98,17 @@ class Link
     /** Total frames dropped by loss injection (both directions). */
     std::uint64_t dropped() const
     {
-        return dropped_.load(std::memory_order_relaxed);
+        return ends_[0].dropped + ends_[1].dropped;
     }
     /** Total frames delivered (both directions). */
     std::uint64_t delivered() const
     {
-        return delivered_.load(std::memory_order_relaxed);
+        return ends_[0].delivered + ends_[1].delivered;
     }
     /** Total payload+header bytes carried (both directions). */
     std::uint64_t bytesCarried() const
     {
-        return bytes_.load(std::memory_order_relaxed);
+        return ends_[0].bytes_sent + ends_[1].bytes_sent;
     }
 
   private:
@@ -121,11 +120,25 @@ class Link
         PacketPtr pkt;
     };
 
+    /**
+     * One endpoint. On a sharded simulation a boundary link's two
+     * directions run on different domain threads, so every field has
+     * a single writer: the egress fields belong to transmit() in this
+     * end's domain, the inbound ones to this end's own deliveries. The
+     * counter accessors sum both ends once the run is over.
+     */
     struct End
     {
         Node *node = nullptr;
         std::size_t port = 0;
         sim::TimeNs busy_until = 0; ///< egress pipe free time
+        std::uint64_t bytes_sent = 0; ///< egress bytes, dropped frames too
+        std::uint64_t dropped = 0;    ///< egress frames lost
+        /** Serialization time of the last egress frame size (the memo
+         *  starts at txTime(0) == 0). */
+        std::size_t last_tx_bytes = 0;
+        sim::TimeNs last_tx_ns = 0;
+        std::uint64_t delivered = 0; ///< frames landed at this end
         /** FIFO-path frames headed to this end, in delivery order; only
          *  the front one's delivery is queued. Touched only from this
          *  end's shard domain (or during setup). */
@@ -133,13 +146,13 @@ class Link
     };
 
     int endIndexOf(const Node *n) const;
-    void deliverAt(sim::TimeNs when, const End &rx, const PacketPtr &pkt);
+    void deliverAt(sim::TimeNs when, End &rx, PacketPtr pkt);
     /** Queue the delivery of @p rx's inbound head at its reserved rank. */
     void armHead(End &rx);
     /** Deliver @p rx's inbound head and arm the next one. */
     void deliverHead(End &rx);
     /** Hand @p pkt to @p rx's node: the last bit has arrived. */
-    void land(const End &rx, PacketPtr pkt);
+    void land(End &rx, PacketPtr pkt);
 
     sim::Simulation &sim_;
     std::string name_;
@@ -147,12 +160,6 @@ class Link
     std::array<End, 2> ends_;
     sim::Rng loss_rng_;
     ChannelModel *channel_ = nullptr;
-    // On a sharded simulation a boundary link's two directions run on
-    // different domain threads; the shared counters stay exact under
-    // relaxed atomics (pure tallies, no ordering needed).
-    std::atomic<std::uint64_t> dropped_{0};
-    std::atomic<std::uint64_t> delivered_{0};
-    std::atomic<std::uint64_t> bytes_{0};
 };
 
 } // namespace isw::net

@@ -5,12 +5,33 @@
 
 namespace isw::net {
 
+struct PacketRecycler
+{
+    void
+    operator()(const Packet *p) const noexcept
+    {
+        PacketPool::local().recycle(const_cast<Packet *>(p));
+    }
+
+    static void *
+    takeBlock(std::size_t bytes)
+    {
+        return PacketPool::local().takeBlock(bytes);
+    }
+
+    static void
+    parkBlock(void *block)
+    {
+        PacketPool::local().parkBlock(block);
+    }
+};
+
 namespace {
 
 /**
- * Free-listed allocator for the shared_ptr control block. Only one
- * node type is ever instantiated (the counted-deleter node for
- * <const Packet>), so a per-type thread-local list suffices.
+ * Allocator of the shared_ptr control block. Only one node type is
+ * ever instantiated (the counted-deleter node for <const Packet>), so
+ * every block has the same size and any pool's parked block fits.
  */
 template <class T>
 struct CtrlBlockAlloc
@@ -23,44 +44,22 @@ struct CtrlBlockAlloc
     {
     }
 
-    struct FreeList
-    {
-        std::vector<void *> blocks;
-        ~FreeList()
-        {
-            for (void *p : blocks)
-                ::operator delete(p);
-        }
-    };
-
-    static FreeList &
-    freeList()
-    {
-        thread_local FreeList fl;
-        return fl;
-    }
-
     T *
     allocate(std::size_t n)
     {
-        auto &fl = freeList().blocks;
-        if (n == 1 && !fl.empty()) {
-            void *p = fl.back();
-            fl.pop_back();
-            return static_cast<T *>(p);
-        }
-        return static_cast<T *>(::operator new(n * sizeof(T)));
+        if (n != 1)
+            return static_cast<T *>(::operator new(n * sizeof(T)));
+        return static_cast<T *>(PacketRecycler::takeBlock(sizeof(T)));
     }
 
     void
     deallocate(T *p, std::size_t n)
     {
-        auto &fl = freeList().blocks;
-        if (n == 1 && fl.size() < 4096) {
-            fl.push_back(p);
+        if (n != 1) {
+            ::operator delete(p);
             return;
         }
-        ::operator delete(p);
+        PacketRecycler::parkBlock(p);
     }
 
     template <class U>
@@ -71,20 +70,7 @@ struct CtrlBlockAlloc
     }
 };
 
-} // namespace
-
-struct PacketRecycler
-{
-    void
-    operator()(const Packet *p) const noexcept
-    {
-        PacketPool::local().recycle(const_cast<Packet *>(p));
-    }
-};
-
-namespace {
-
-thread_local PacketPool *tls_pool_override = nullptr;
+thread_local PacketPool *tls_scoped_pool = nullptr;
 
 } // namespace
 
@@ -92,19 +78,22 @@ PacketPool &
 PacketPool::local()
 {
     thread_local PacketPool pool;
-    return tls_pool_override != nullptr ? *tls_pool_override : pool;
+    return tls_scoped_pool != nullptr ? *tls_scoped_pool : pool;
 }
 
-void
-PacketPool::setLocalOverride(PacketPool *pool)
+PacketPool::Scope::Scope(PacketPool &pool) : prev_(tls_scoped_pool)
 {
-    tls_pool_override = pool;
+    tls_scoped_pool = &pool;
+}
+
+PacketPool::Scope::~Scope()
+{
+    tls_scoped_pool = prev_;
 }
 
 PacketPool::~PacketPool()
 {
-    for (Packet *p : slots_)
-        delete p;
+    trim();
 }
 
 PacketPtr
@@ -125,10 +114,22 @@ PacketPool::seal(Packet &&pkt)
                      CtrlBlockAlloc<const Packet>{});
 }
 
+void *
+PacketPool::takeBlock(std::size_t bytes)
+{
+    if (blocks_.empty())
+        return ::operator new(bytes);
+    void *block = blocks_.back();
+    blocks_.pop_back();
+    return block;
+}
+
 std::vector<float>
 PacketPool::acquireFloats(std::size_t hint)
 {
     std::vector<float> buf;
+    if (hint == 0)
+        return buf; // a value-less frame: nothing to take or count
     if (!float_bufs_.empty()) {
         buf = std::move(float_bufs_.back());
         float_bufs_.pop_back();
@@ -144,8 +145,8 @@ PacketPool::acquireFloats(std::size_t hint)
 void
 PacketPool::releaseFloats(std::vector<float> &&buf)
 {
-    if (buf.capacity() == 0 || float_bufs_.size() >= kMaxIdleFloatBufs)
-        return; // nothing worth parking / list full: let it free
+    if (buf.capacity() == 0)
+        return; // nothing worth parking
     float_bufs_.push_back(std::move(buf));
 }
 
@@ -154,10 +155,6 @@ PacketPool::recycle(Packet *p)
 {
     if (auto *chunk = std::get_if<ChunkPayload>(&p->payload))
         releaseFloats(std::move(chunk->values));
-    if (slots_.size() >= kMaxIdleSlots) {
-        delete p;
-        return;
-    }
     slots_.push_back(p);
 }
 
@@ -167,6 +164,9 @@ PacketPool::trim()
     for (Packet *p : slots_)
         delete p;
     slots_.clear();
+    for (void *block : blocks_)
+        ::operator delete(block);
+    blocks_.clear();
     float_bufs_.clear();
 }
 

@@ -51,7 +51,9 @@ void
 EthSwitch::emitAfterLatency(std::size_t port, PacketPtr pkt)
 {
     sim_.after(cfg_.forwarding_latency,
-               [this, port, pkt = std::move(pkt)] { sendOut(port, pkt); });
+               [this, port, pkt = std::move(pkt)]() mutable {
+                   sendOut(port, std::move(pkt));
+               });
 }
 
 } // namespace isw::net

@@ -13,7 +13,7 @@ constexpr std::size_t kArity = 4;
 } // namespace
 
 EventId
-EventQueue::insert(TimeNs when, std::uint64_t seq, Callback cb)
+EventQueue::insert(TimeNs when, std::uint64_t seq, Callback &&cb)
 {
     std::uint32_t slot;
     if (!free_slots_.empty()) {

@@ -8,8 +8,10 @@
  * Hot-path layout (DESIGN.md §9):
  *  - Callbacks live in a small-buffer `InlineFn` (no heap allocation
  *    for the capture sizes the simulator uses) inside a stable slot
- *    table, so each is moved exactly twice (in at schedule, out at
- *    fire) no matter how much the ordering structures churn.
+ *    table. Every scheduling call, here and in Simulation/ShardedEngine,
+ *    takes the callback by rvalue reference, so each is moved exactly
+ *    twice (in at schedule, out at fire) no matter how much the
+ *    ordering structures churn.
  *  - Time order lives in 16-byte POD keys split between two
  *    structures: a monotone *tail* FIFO that absorbs the dominant
  *    nondecreasing-time scheduling pattern (link serialization,
@@ -107,7 +109,7 @@ class EventQueue
      * @return Handle usable with cancel().
      */
     EventId
-    schedule(TimeNs when, Callback cb)
+    schedule(TimeNs when, Callback &&cb)
     {
         check(when, cb);
         return insert(when, next_seq_++, std::move(cb));
@@ -127,7 +129,7 @@ class EventQueue
      * in (time, rank) order — e.g. when the event ahead of it fires.
      */
     EventId
-    scheduleReserved(TimeNs when, std::uint64_t seq, Callback cb)
+    scheduleReserved(TimeNs when, std::uint64_t seq, Callback &&cb)
     {
         check(when, cb);
         if (seq == 0 || seq >= next_seq_)
@@ -136,7 +138,7 @@ class EventQueue
     }
 
     /** Schedule @p cb to run @p delay after the current time. */
-    EventId scheduleAfter(TimeNs delay, Callback cb)
+    EventId scheduleAfter(TimeNs delay, Callback &&cb)
     {
         return schedule(now_ + delay, std::move(cb));
     }
@@ -244,7 +246,7 @@ class EventQueue
     }
 
     /** Queue @p cb at (@p when, @p seq); the arguments are checked. */
-    EventId insert(TimeNs when, std::uint64_t seq, Callback cb);
+    EventId insert(TimeNs when, std::uint64_t seq, Callback &&cb);
 
     void pushHeap(const Entry &e);
     /** Remove the heap root (which must exist). */

@@ -76,13 +76,13 @@ class Simulation
     bool sharded() const { return engine_->domains() > 1; }
 
     /** Convenience: schedule relative to now. */
-    EventId after(TimeNs delay, EventQueue::Callback cb)
+    EventId after(TimeNs delay, EventQueue::Callback &&cb)
     {
         return engine_->after(delay, std::move(cb));
     }
 
     /** Convenience: schedule at absolute time. */
-    EventId at(TimeNs when, EventQueue::Callback cb)
+    EventId at(TimeNs when, EventQueue::Callback &&cb)
     {
         return engine_->at(when, std::move(cb));
     }
@@ -91,7 +91,8 @@ class Simulation
      * Schedule at absolute time into a specific shard domain. On an
      * un-sharded Simulation every domain is the one queue.
      */
-    EventId atInDomain(DomainId d, TimeNs when, EventQueue::Callback cb)
+    EventId atInDomain(DomainId d, TimeNs when,
+                       EventQueue::Callback &&cb)
     {
         return engine_->schedule(d, when, std::move(cb));
     }
@@ -106,7 +107,7 @@ class Simulation
     /** Schedule at absolute time in domain @p d with a rank reserved
      *  there by reserveSeq(d). */
     EventId scheduleReserved(DomainId d, TimeNs when, std::uint64_t seq,
-                             EventQueue::Callback cb)
+                             EventQueue::Callback &&cb)
     {
         return engine_->scheduleReserved(d, when, seq, std::move(cb));
     }

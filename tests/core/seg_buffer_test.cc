@@ -116,6 +116,36 @@ TEST(SegBufferPool, DedupeIgnoresRepeatedSource)
     EXPECT_FLOAT_EQ(st.acc[0], 3.0f);
 }
 
+TEST(ContributorSet, TracksHundredsOfSourcesAndKeepsItsTable)
+{
+    // Extremes of the IPv4 range included: the table marks empty
+    // buckets without reserving a source value.
+    std::vector<std::uint32_t> srcs{0u, 0xFFFFFFFFu};
+    for (std::uint32_t i = 1; i <= 500; ++i)
+        srcs.push_back(0x0A000000u + i * 7919u);
+    ContributorSet set;
+    for (const std::uint32_t s : srcs)
+        EXPECT_TRUE(set.insert(s)) << s;
+    for (const std::uint32_t s : srcs) {
+        EXPECT_FALSE(set.insert(s)) << s;
+        EXPECT_TRUE(set.contains(s)) << s;
+    }
+    EXPECT_EQ(set.size(), srcs.size());
+    EXPECT_FALSE(set.contains(0x0B000000u));
+    std::vector<std::uint32_t> seen;
+    set.forEach([&seen](std::uint32_t s) { seen.push_back(s); });
+    std::sort(seen.begin(), seen.end());
+    std::sort(srcs.begin(), srcs.end());
+    EXPECT_EQ(seen, srcs);
+
+    set.clear();
+    EXPECT_EQ(set.size(), 0u);
+    EXPECT_FALSE(set.contains(0u));
+    EXPECT_FALSE(set.contains(srcs.back()));
+    EXPECT_TRUE(set.insert(srcs.back()));
+    EXPECT_EQ(set.size(), 1u);
+}
+
 TEST(SegBufferPool, RecycledSlotStartsClean)
 {
     // Harvest parks the slot; the next segment that lands on it must

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/programmable_switch.hh"
+#include "net/packet_pool.hh"
 #include "net/topology.hh"
 
 namespace isw::core {
@@ -293,6 +294,81 @@ TEST(Hierarchy, TwoLevelAggregationMatchesFlatSum)
     // The ToRs each saw 2 contributions; the core saw 2 partials.
     EXPECT_EQ(tors[0]->accelerator().packetsIngested(), 2u);
     EXPECT_EQ(core->accelerator().packetsIngested(), 2u);
+}
+
+TEST(Hierarchy, CachedResultsKeepTheFramePoolBalanced)
+{
+    // The switches may hand the frame pool only buffers it handed out:
+    // its demand is capped by the frames in flight, so any surplus
+    // would park one more buffer per segment for the whole run. With a
+    // window of 2 every cache prunes once per round after the first
+    // few, so each round ends with the same buffers idle.
+    net::PacketPool pool;
+    const net::PacketPool::Scope scope(pool);
+    sim::Simulation s{1};
+    net::Topology topo(s);
+
+    ProgrammableSwitchConfig core_cfg;
+    core_cfg.ip = Ipv4Addr(10, 0, 255, 1);
+    core_cfg.cache_window = 2;
+    auto *core = topo.addSwitch<ProgrammableSwitch>("core", 2, core_cfg);
+
+    std::vector<ProgrammableSwitch *> tors;
+    std::vector<net::Host *> hosts;
+    std::vector<std::uint64_t> results(4, 0);
+    for (int r = 0; r < 2; ++r) {
+        ProgrammableSwitchConfig tor_cfg;
+        tor_cfg.ip = Ipv4Addr(10, 0, static_cast<std::uint8_t>(r), 1);
+        tor_cfg.parent = core_cfg.ip;
+        tor_cfg.cache_window = 2;
+        auto *tor = topo.addSwitch<ProgrammableSwitch>(
+            "tor" + std::to_string(r), 3, tor_cfg);
+        for (int h = 0; h < 2; ++h) {
+            const std::size_t idx = static_cast<std::size_t>(r * 2 + h);
+            net::Host *host = topo.addHost(
+                "w" + std::to_string(idx),
+                Ipv4Addr(10, 0, static_cast<std::uint8_t>(r),
+                         static_cast<std::uint8_t>(2 + h)));
+            topo.connectHost(host, tor, static_cast<std::size_t>(h));
+            tor->adminJoin(host->ip(), kWkPort, MemberType::kWorker);
+            host->setReceiveHandler([&results, idx](PacketPtr pkt) {
+                if (pkt->ip.tos == net::kTosResult)
+                    ++results[idx];
+            });
+            hosts.push_back(host);
+        }
+        topo.connectSwitches(tor, 2, core, static_cast<std::size_t>(r));
+        core->addRoute(tor->ip(), static_cast<std::size_t>(r));
+        core->adminJoin(tor->ip(), kSwPort, MemberType::kSwitch);
+        tors.push_back(tor);
+    }
+
+    // Sync iSwitch stripes the round into the segment index, so every
+    // round completes a new segment at each switch.
+    const auto round = [&](std::uint64_t seg) {
+        for (std::size_t w = 0; w < 4; ++w) {
+            ChunkPayload c;
+            c.seg = seg;
+            c.wire_floats = 2;
+            c.values = pool.acquireFloats(2);
+            c.values.assign({float(w + 1), float(10 * (w + 1))});
+            hosts[w]->sendTo(tors[w / 2]->ip(), kSwPort, kWkPort,
+                             net::kTosData, std::move(c));
+        }
+        s.run();
+    };
+    constexpr std::uint64_t kRounds = 32;
+    for (std::uint64_t seg = 0; seg < kRounds; ++seg)
+        round(seg);
+    const std::size_t idle = pool.idleFloatBuffers();
+    for (std::uint64_t seg = kRounds; seg < 2 * kRounds; ++seg)
+        round(seg);
+
+    EXPECT_EQ(pool.idleFloatBuffers(), idle);
+    for (std::size_t w = 0; w < 4; ++w)
+        EXPECT_EQ(results[w], 2 * kRounds) << "worker " << w;
+    EXPECT_LE(core->cachedResults(), 4u);
+    EXPECT_LE(tors[0]->cachedResults(), 4u);
 }
 
 } // namespace

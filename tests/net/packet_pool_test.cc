@@ -64,6 +64,21 @@ TEST(PacketPool, AcquireFloatsReservesHint)
     EXPECT_GE(buf.capacity(), 123u);
 }
 
+TEST(PacketPool, ZeroSizeAcquireTakesAndCountsNothing)
+{
+    // Value-less segments must neither strand a parked buffer in a
+    // frame that never uses it nor read as pool misses.
+    PacketPool pool;
+    pool.releaseFloats(pool.acquireFloats(8));
+    ASSERT_EQ(pool.idleFloatBuffers(), 1u);
+    const PacketPool::Stats s0 = pool.stats();
+    const std::vector<float> buf = pool.acquireFloats(0);
+    EXPECT_EQ(buf.capacity(), 0u);
+    EXPECT_EQ(pool.idleFloatBuffers(), 1u);
+    EXPECT_EQ(pool.stats().float_allocs, s0.float_allocs);
+    EXPECT_EQ(pool.stats().float_reuses, s0.float_reuses);
+}
+
 TEST(PacketPool, StatsCountSealsAndReuses)
 {
     PacketPool &pool = PacketPool::local();

@@ -5,9 +5,49 @@
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.hh"
+#include "sim/simulation.hh"
 
 namespace isw::sim {
 namespace {
+
+/** A capture that counts its relocations (move constructions). */
+struct MoveCounter
+{
+    explicit MoveCounter(int *moves) : moves(moves) {}
+    MoveCounter(MoveCounter &&o) noexcept : moves(o.moves) { ++*moves; }
+    MoveCounter(const MoveCounter &) = delete;
+    MoveCounter &operator=(const MoveCounter &) = delete;
+    MoveCounter &operator=(MoveCounter &&) = delete;
+    int *moves;
+};
+
+TEST(EventQueue, CallbackIsRelocatedExactlyTwice)
+{
+    // In at schedule, out at fire: the scheduling calls hand the
+    // callback down by reference, whichever entry point takes it.
+    int moves = 0;
+    int fired = 0;
+    const auto make = [&] {
+        return EventQueue::Callback(
+            [mc = MoveCounter(&moves), &fired] { ++fired; });
+    };
+
+    EventQueue q;
+    EventQueue::Callback cb = make();
+    moves = 0;
+    q.schedule(5, std::move(cb));
+    q.runAll();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(moves, 2);
+
+    Simulation sim;
+    EventQueue::Callback after = make();
+    moves = 0;
+    sim.after(5, std::move(after));
+    sim.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(moves, 2);
+}
 
 TEST(EventQueue, StartsEmptyAtTimeZero)
 {
