@@ -1,21 +1,23 @@
 /**
  * @file
- * Cluster builders: the paper's two evaluation fabrics.
+ * Cluster builders: the paper's two evaluation fabrics, and a deeper
+ * one.
  *
  *  - Star (main cluster, §5.3): N workers (+ optional PS node) on one
  *    programmable switch over 10 GbE.
  *  - Tree (scalability setup, §5.3 / Figure 10): racks of `per_rack`
  *    workers under ToR switches, ToRs under one core switch over a
  *    faster uplink, with hierarchical aggregation membership wired.
- *  - Fat-tree (datacenter scale, ROADMAP item 2): racks under ToRs,
- *    ToRs grouped into pods under AGG switches, AGGs under one core —
- *    three levels of hierarchical aggregation (ToR -> AGG -> Core),
- *    the regime SwitchML/NetReduce evaluate.
+ *  - Fat-tree (datacenter scale): racks under ToRs, ToRs grouped into
+ *    pods under AGG switches, AGGs under one core — three levels of
+ *    hierarchical aggregation (ToR -> AGG -> Core), the regime
+ *    SwitchML/NetReduce evaluate.
  *
- * The tree/fat-tree builders also assign shard domains (sim/shard.hh):
- * each rack (ToR + its hosts) is one domain, the AGG/core layer is
- * domain 0, and the conservative lookahead is the minimum propagation
- * delay among rack-boundary (ToR <-> parent) links.
+ * The tree and the fat-tree come from one routine: the tree is the
+ * fat-tree without its AGG layer. Both also assign shard domains
+ * (sim/shard.hh): each rack (ToR + its hosts) is one domain, the
+ * AGG/core layer is domain 0, and the conservative lookahead is the
+ * propagation delay of the rack-boundary (ToR <-> parent) links.
  */
 
 #ifndef ISW_DIST_CLUSTER_HH
@@ -55,7 +57,7 @@ struct HaConfig
     std::uint32_t miss_threshold = 3;
 };
 
-/** Knobs shared by both builders. */
+/** Knobs of all three builders (each field says where it applies). */
 struct ClusterConfig
 {
     std::size_t num_workers = 4;
@@ -107,6 +109,14 @@ struct Cluster
 
     /** Leaf switch worker @p i attaches to. */
     core::ProgrammableSwitch *leafOf(std::size_t i) const;
+
+    /**
+     * Every aggregation switch once: the leaves, the AGGs, the root
+     * unless it is also a leaf (a star), then the HA backup. Code that
+     * must reach every switch that folds contributions (dedupe, datapath
+     * counters) walks this list.
+     */
+    std::vector<core::ProgrammableSwitch *> switches() const;
 
     std::size_t workersPerRack = 0; ///< 0 for star clusters
 

@@ -31,16 +31,14 @@ SyncIswitchJob::init()
         seg_qexp_.assign(workers_.size(),
                          std::vector<std::int8_t>(fmt_.segments(),
                                                   ml::kDefaultQexp));
-    // Retransmissions must be idempotent in synchronous mode. On a
-    // shared fabric only our own job's traffic may be touched.
+    // Retransmissions must be idempotent in synchronous mode at every
+    // switch that folds them: a ToR that re-aggregates its rack for a
+    // Help resends its partial, and an HA backup aggregates the same
+    // traffic after promotion. On a shared fabric only our own job's
+    // traffic may be touched.
     if (jobId() == 0) {
-        for (auto *leaf : cluster_.leaves)
-            leaf->accelerator().setDedupeContributors(true);
-        cluster_.root->accelerator().setDedupeContributors(true);
-        // An HA backup aggregates the same traffic after promotion,
-        // so it needs the same idempotence discipline.
-        if (cluster_.backup != nullptr)
-            cluster_.backup->accelerator().setDedupeContributors(true);
+        for (auto *sw : cluster_.switches())
+            sw->accelerator().setDedupeContributors(true);
     } else {
         cluster_.root->accelerator().setJobDedupe(jobId(), true);
     }

@@ -242,7 +242,8 @@ bool
 JobBase::lossyEnv() const
 {
     return cfg_.cluster.edge_link.loss_prob > 0.0 ||
-           cfg_.cluster.uplink.loss_prob > 0.0 || !cfg_.faults.empty();
+           cfg_.cluster.uplink.loss_prob > 0.0 ||
+           cfg_.cluster.core_link.loss_prob > 0.0 || !cfg_.faults.empty();
 }
 
 void
@@ -656,8 +657,7 @@ JobBase::collectExtras(RunResult &res) const
         put(kHistKeys[b], r.latency_hist[b]);
 
     // Quantization: codec clamps summed over the workers, integer-
-    // datapath counters over every aggregating switch (a star's root
-    // is also leaves.front(); count each switch once). All 0 on fp32.
+    // datapath counters over every aggregating switch. All 0 on fp32.
     PipelineStats p;
     for (const WorkerCtx &w : workers_) {
         p.value_clamps += w.ppp->stats().value_clamps;
@@ -666,18 +666,11 @@ JobBase::collectExtras(RunResult &res) const
     put("quant_value_clamps", p.value_clamps);
     put("quant_exp_clamps", p.exp_clamps);
     core::SlotPoolStats sw;
-    const auto fold = [&sw](core::ProgrammableSwitch *s) {
+    for (core::ProgrammableSwitch *s : cluster_.switches()) {
         const core::SlotPoolStats t = s->accelerator().pool().totals();
         sw.overflow_clamps += t.overflow_clamps;
         sw.exp_rescales += t.exp_rescales;
-    };
-    fold(cluster_.root);
-    for (core::ProgrammableSwitch *leaf : cluster_.leaves)
-        if (leaf != cluster_.root)
-            fold(leaf);
-    for (core::ProgrammableSwitch *agg : cluster_.aggs)
-        if (agg != cluster_.root)
-            fold(agg);
+    }
     put("switch_overflow_clamps", sw.overflow_clamps);
     put("switch_exp_rescales", sw.exp_rescales);
 

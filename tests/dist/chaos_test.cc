@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "dist/strategy.hh"
+#include "harness/experiment.hh"
 #include "matrix_cells.hh"
 
 namespace isw::dist {
@@ -473,6 +474,59 @@ TEST(Watchdog, TooShortDeadlineReportsWatchdogError)
     const RunResult res = runJob(cfg);
     EXPECT_FALSE(res.ok());
     EXPECT_NE(res.error.find("watchdog"), std::string::npos) << res.error;
+}
+
+// Lossy fat-trees: 12 workers in racks of 3 and pods of 2 racks (4
+// ToRs, 2 AGGs, one core), 20 iterations at seed 1.
+
+JobConfig
+lossyFatTreeConfig(StrategyKind k)
+{
+    JobConfig cfg = harness::timingSpec(rl::Algo::kPpo, k, 12).config;
+    cfg.use_fat_tree = true;
+    cfg.cluster.per_rack = 3;
+    cfg.cluster.racks_per_pod = 2;
+    cfg.stop.max_iterations = 20;
+    cfg.stop.max_sim_time = 30 * sim::kSec; // a stall reports, never hangs
+    cfg.seed = 1;
+    return cfg;
+}
+
+TEST(FatTree, LossySyncIswitchMatchesSyncPs)
+{
+    // A rack whose result is late asks its ToR for Help. A ToR that
+    // lacks the result re-aggregates the rack and forwards the partial
+    // again, so the AGG above it must dedupe per (segment, source) like
+    // every other aggregation switch, or it folds that rack twice.
+    auto weights = [](StrategyKind k) {
+        JobConfig cfg = lossyFatTreeConfig(k);
+        cfg.cluster.edge_link.loss_prob = 0.005;
+        auto job = makeJob(cfg);
+        const RunResult res = job->run();
+        EXPECT_TRUE(res.ok()) << strategyName(k) << ": " << res.error;
+        EXPECT_GE(res.iterations, 20u) << strategyName(k);
+        ml::Vec w;
+        job->workerAgent(0).getWeights(w);
+        return w;
+    };
+    const ml::Vec ps = weights(StrategyKind::kSyncPs);
+    const ml::Vec isw = weights(StrategyKind::kSyncIswitch);
+    ASSERT_EQ(isw.size(), ps.size());
+    for (std::size_t i = 0; i < isw.size(); ++i)
+        ASSERT_NEAR(isw[i], ps[i], 1e-5f) << "weight " << i;
+}
+
+TEST(FatTree, LossyCoreLinksArmRecovery)
+{
+    // Loss on the AGG <-> core links alone must arm retransmission.
+    for (StrategyKind k :
+         {StrategyKind::kSyncPs, StrategyKind::kSyncAllReduce}) {
+        JobConfig cfg = lossyFatTreeConfig(k);
+        cfg.cluster.core_link.loss_prob = 0.005;
+        const RunResult res = runJob(cfg);
+        EXPECT_TRUE(res.ok()) << strategyName(k) << ": " << res.error;
+        EXPECT_GE(res.iterations, 20u) << strategyName(k);
+    }
 }
 
 } // namespace
