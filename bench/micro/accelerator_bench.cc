@@ -74,7 +74,7 @@ BM_AcceleratorDedupe(benchmark::State &state)
         sim::Simulation s{1};
         core::Accelerator accel{s};
         accel.setThreshold(4);
-        accel.setDedupeContributors(true);
+        accel.setDedupe(true);
         state.ResumeTiming();
         for (std::uint32_t w = 0; w < 4; ++w)
             accel.ingest(chunk, w);
@@ -102,7 +102,7 @@ BM_StarSegmentRound(benchmark::State &state)
     core::ProgrammableSwitchConfig cfg;
     cfg.ip = net::Ipv4Addr(10, 0, 0, 1);
     auto *sw = topo.addSwitch<core::ProgrammableSwitch>("sw0", workers, cfg);
-    sw->accelerator().setDedupeContributors(true);
+    sw->accelerator().setDedupe(true);
     std::vector<net::Host *> hosts;
     std::size_t delivered = 0;
     for (std::size_t i = 0; i < workers; ++i) {

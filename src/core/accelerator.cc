@@ -23,53 +23,11 @@ Accelerator::procTime(std::size_t wire_bytes) const
 }
 
 void
-Accelerator::setJobThreshold(std::uint8_t job, std::uint32_t h)
-{
-    if (job == 0) {
-        threshold_ = h; // keep job-0 visible through threshold()
-        return;
-    }
-    if (job_knobs_.size() <= job)
-        job_knobs_.resize(std::size_t{job} + 1);
-    job_knobs_[job].has_threshold = true;
-    job_knobs_[job].threshold = h;
-}
-
-std::uint32_t
-Accelerator::thresholdFor(std::uint8_t job) const
-{
-    if (job < job_knobs_.size() && job_knobs_[job].has_threshold)
-        return job_knobs_[job].threshold;
-    return threshold_;
-}
-
-void
-Accelerator::setJobDedupe(std::uint8_t job, bool on)
-{
-    if (job == 0) {
-        dedupe_ = on;
-        return;
-    }
-    if (job_knobs_.size() <= job)
-        job_knobs_.resize(std::size_t{job} + 1);
-    job_knobs_[job].has_dedupe = true;
-    job_knobs_[job].dedupe = on;
-}
-
-bool
-Accelerator::dedupeFor(std::uint8_t job) const
-{
-    if (job < job_knobs_.size() && job_knobs_[job].has_dedupe)
-        return job_knobs_[job].dedupe;
-    return dedupe_;
-}
-
-void
 Accelerator::afterAccumulate(const net::ChunkPayload &chunk,
                              std::uint32_t src)
 {
-    const SlotOutcome out = pool_.offer(chunk, thresholdFor(chunk.job), src,
-                                        dedupeFor(chunk.job));
+    const JobKnobs &k = knobs_[chunk.job];
+    const SlotOutcome out = pool_.offer(chunk, k.threshold, src, k.dedupe);
     if (out == SlotOutcome::kCompleted)
         emitSeg(packSegWord(chunk.seg, chunk.job));
     else if (out == SlotOutcome::kAccepted && accept_)

@@ -21,6 +21,7 @@
 #ifndef ISW_CORE_ACCELERATOR_HH
 #define ISW_CORE_ACCELERATOR_HH
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -84,27 +85,28 @@ class Accelerator
     /** Install the partial-accepted callback (HA replication). */
     void setAccept(AcceptFn fn) { accept_ = std::move(fn); }
 
-    /** Aggregation threshold H (contributions per segment), job 0. */
-    void setThreshold(std::uint32_t h) { threshold_ = h; }
-    std::uint32_t threshold() const { return threshold_; }
-
-    /** Per-job threshold override (job 0 falls back to threshold()). */
-    void setJobThreshold(std::uint8_t job, std::uint32_t h);
-    std::uint32_t thresholdFor(std::uint8_t job) const;
+    /**
+     * Aggregation threshold H (contributions per segment) of @p job's
+     * segments. Every job id has its own value, 1 until set.
+     */
+    void setThreshold(std::uint32_t h, std::uint8_t job = 0)
+    {
+        knobs_[job].threshold = h;
+    }
+    std::uint32_t threshold(std::uint8_t job = 0) const
+    {
+        return knobs_[job].threshold;
+    }
 
     /**
-     * Enable per-source contribution dedupe. Synchronous training
-     * turns this on so Help-driven retransmissions are idempotent;
-     * asynchronous training leaves it off because contributions from
-     * successive worker iterations legitimately share a buffer.
+     * Per-source contribution dedupe for @p job's segments, off until
+     * set. Synchronous training turns it on so Help-driven
+     * retransmissions are idempotent; asynchronous training leaves it
+     * off because contributions from successive worker iterations
+     * legitimately share a buffer.
      */
-    void setDedupeContributors(bool on) { dedupe_ = on; }
-    bool dedupeContributors() const { return dedupe_; }
-
-    /** Per-job dedupe override (jobs not set fall back to the global
-     *  flag — lets sync and async jobs share one switch). */
-    void setJobDedupe(std::uint8_t job, bool on);
-    bool dedupeFor(std::uint8_t job) const;
+    void setDedupe(bool on, std::uint8_t job = 0) { knobs_[job].dedupe = on; }
+    bool dedupe(std::uint8_t job = 0) const { return knobs_[job].dedupe; }
 
     /**
      * Feed one tagged data packet into the pipeline. Accumulation and
@@ -166,21 +168,19 @@ class Accelerator
     sim::Simulation &sim_;
     AcceleratorConfig cfg_;
     SegBufferPool pool_;
-    std::uint32_t threshold_ = 1;
     EmitFn emit_;
     NackFn nack_;
     AcceptFn accept_;
     sim::TimeNs busy_until_ = 0;
-    bool dedupe_ = false;
-    /** Per-job overrides; .set false = fall back to the globals. */
+    /** One job's aggregation knobs. */
     struct JobKnobs
     {
-        bool has_threshold = false;
-        bool has_dedupe = false;
         std::uint32_t threshold = 1;
         bool dedupe = false;
     };
-    std::vector<JobKnobs> job_knobs_;
+    /** One row per job id, so every fold reads its job's knobs with
+     *  one indexed load. */
+    std::array<JobKnobs, 256> knobs_{};
     std::uint64_t ingested_ = 0;
     std::uint64_t emitted_ = 0;
 };

@@ -119,7 +119,11 @@ ControlPlane::handle(net::Ipv4Addr src_ip, std::uint16_t src_port,
       }
       case net::Action::kSetH: {
         if (msg.has_value && hooks_.set_threshold) {
-            hooks_.set_threshold(static_cast<std::uint32_t>(msg.value));
+            // Pin the requester's job only, as FBcast and Help act on
+            // the requester's job.
+            const auto m = table_.find(src_ip);
+            hooks_.set_threshold(static_cast<std::uint32_t>(msg.value),
+                                 m ? m->job : std::uint8_t{0});
             ack(src_ip, src_port, true);
         } else {
             ack(src_ip, src_port, false);

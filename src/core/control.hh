@@ -178,7 +178,6 @@ class HeartbeatMonitor
 
     std::uint64_t beats() const { return beats_; }
     std::uint64_t missed() const { return missed_; }
-    sim::TimeNs lastBeat() const { return last_beat_; }
 
   private:
     sim::TimeNs period_ = 0;
@@ -203,8 +202,8 @@ class ControlPlane
         std::function<void(const Member &, net::ControlPayload)> send_control;
         /** Clear accelerator buffers/counters (Reset). */
         std::function<void()> reset_accel;
-        /** Set aggregation threshold H (SetH). */
-        std::function<void(std::uint32_t)> set_threshold;
+        /** Pin aggregation threshold H of the sender's job (SetH). */
+        std::function<void(std::uint32_t h, std::uint8_t job)> set_threshold;
         /**
          * Force-broadcast a partially aggregated segment (FBcast).
          * @p key is the packed Seg word: the control plane stamps the

@@ -1,11 +1,29 @@
 #include "core/programmable_switch.hh"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <utility>
 
 #include "net/packet_pool.hh"
 
 namespace isw::core {
+
+template <class P>
+void
+ProgrammableSwitch::sendFrame(net::Ipv4Addr dst, std::uint16_t dst_port,
+                              std::uint8_t tos, P &&payload)
+{
+    net::Packet pkt;
+    pkt.eth.src = mac_;
+    pkt.ip.src = cfg_.ip;
+    pkt.ip.dst = dst;
+    pkt.ip.tos = tos;
+    pkt.udp.src_port = cfg_.udp_port;
+    pkt.udp.dst_port = dst_port;
+    pkt.payload = std::forward<P>(payload);
+    forward(net::makePacket(std::move(pkt)));
+}
 
 ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
                                        std::size_t num_ports,
@@ -25,9 +43,8 @@ ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
                   result_cache_.clear();
               },
           .set_threshold =
-              [this](std::uint32_t h) {
-                  manual_threshold_ = true;
-                  accel_.setThreshold(h);
+              [this](std::uint32_t h, std::uint8_t job) {
+                  setManualThreshold(h, job);
               },
           .force_broadcast =
               [this](std::uint64_t key) { accel_.forceEmit(key); },
@@ -51,7 +68,7 @@ ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
                   // deduped retransmissions fold in exactly the
                   // missing contributions (DESIGN.md §16).
                   if (ha_promoted_ && accel_.pool().has(key) &&
-                      accel_.dedupeFor(segWordJob(key)))
+                      accel_.dedupe(segWordJob(key)))
                       return;
                   if (accel_.pool().has(key))
                       dropPartial(key);
@@ -91,27 +108,22 @@ ProgrammableSwitch::adminJoin(net::Ipv4Addr ip, std::uint16_t udp_port,
 }
 
 void
-ProgrammableSwitch::setManualThreshold(std::uint32_t h)
+ProgrammableSwitch::setManualThreshold(std::uint32_t h, std::uint8_t job)
 {
-    manual_threshold_ = true;
-    accel_.setThreshold(h);
+    pinned_h_.set(job);
+    accel_.setThreshold(h, job);
 }
 
 void
 ProgrammableSwitch::refreshThreshold()
 {
-    if (manual_threshold_)
-        return;
-    // Auto-H per job: each job's threshold tracks its own member count
-    // (with one job this is exactly the original H = table size).
-    std::unordered_map<std::uint8_t, std::uint32_t> per_job;
+    std::array<std::uint32_t, 256> members{};
     for (const Member &m : ctrl_.table().members())
-        ++per_job[m.job];
-    auto it0 = per_job.find(0);
-    accel_.setThreshold(it0 == per_job.end() ? 1 : it0->second);
-    for (const auto &[job, n] : per_job) {
-        if (job != 0)
-            accel_.setJobThreshold(job, n);
+        ++members[m.job];
+    for (std::size_t job = 0; job < members.size(); ++job) {
+        if (!pinned_h_.test(job))
+            accel_.setThreshold(std::max(members[job], 1U),
+                                static_cast<std::uint8_t>(job));
     }
 }
 
@@ -266,13 +278,6 @@ ProgrammableSwitch::onEmit(std::uint64_t key, SegState sum)
 {
     if (!isRoot()) {
         // Forward the partial aggregate upward as a new contribution.
-        net::Packet pkt;
-        pkt.eth.src = mac_;
-        pkt.ip.src = cfg_.ip;
-        pkt.ip.dst = cfg_.parent;
-        pkt.ip.tos = net::kTosData;
-        pkt.udp.src_port = cfg_.udp_port;
-        pkt.udp.dst_port = cfg_.parent_port;
         net::ChunkPayload chunk;
         chunk.seg = segWordIndex(key);
         chunk.job = segWordJob(key);
@@ -280,8 +285,8 @@ ProgrammableSwitch::onEmit(std::uint64_t key, SegState sum)
         chunk.prec = sum.prec;
         chunk.qexp = sum.qexp;
         chunk.values = std::move(sum.acc);
-        pkt.payload = std::move(chunk);
-        forward(net::makePacket(std::move(pkt)));
+        sendFrame(cfg_.parent, cfg_.parent_port, net::kTosData,
+                  std::move(chunk));
         return;
     }
     CachedResult res{std::move(sum.acc), sum.wire_floats, sum.count,
@@ -314,13 +319,6 @@ void
 ProgrammableSwitch::sendResultTo(const Member &m, std::uint64_t key,
                                  const CachedResult &res)
 {
-    net::Packet pkt;
-    pkt.eth.src = mac_;
-    pkt.ip.src = cfg_.ip;
-    pkt.ip.dst = m.ip;
-    pkt.ip.tos = net::kTosResult;
-    pkt.udp.src_port = cfg_.udp_port;
-    pkt.udp.dst_port = m.udp_port;
     net::ChunkPayload chunk;
     chunk.seg = segWordIndex(key);
     chunk.job = segWordJob(key);
@@ -329,8 +327,7 @@ ProgrammableSwitch::sendResultTo(const Member &m, std::uint64_t key,
     chunk.qexp = res.qexp;
     chunk.values = net::PacketPool::local().acquireFloats(res.values.size());
     chunk.values.assign(res.values.begin(), res.values.end());
-    pkt.payload = std::move(chunk);
-    forward(net::makePacket(std::move(pkt)));
+    sendFrame(m.ip, m.udp_port, net::kTosResult, std::move(chunk));
 }
 
 void
@@ -350,15 +347,7 @@ ProgrammableSwitch::sendNack(std::uint8_t job, std::uint64_t seg,
 void
 ProgrammableSwitch::sendControlTo(const Member &m, net::ControlPayload msg)
 {
-    net::Packet pkt;
-    pkt.eth.src = mac_;
-    pkt.ip.src = cfg_.ip;
-    pkt.ip.dst = m.ip;
-    pkt.ip.tos = net::kTosControl;
-    pkt.udp.src_port = cfg_.udp_port;
-    pkt.udp.dst_port = m.udp_port;
-    pkt.payload = msg;
-    forward(net::makePacket(std::move(pkt)));
+    sendFrame(m.ip, m.udp_port, net::kTosControl, msg);
 }
 
 void
@@ -398,17 +387,9 @@ ProgrammableSwitch::haBeat()
     if (!ha_primary_)
         return;
     repl_->pump();
-    net::Packet pkt;
-    pkt.eth.src = mac_;
-    pkt.ip.src = cfg_.ip;
-    pkt.ip.dst = ha_peer_ip_;
-    pkt.ip.tos = net::kTosControl;
-    pkt.udp.src_port = cfg_.udp_port;
-    pkt.udp.dst_port = ha_peer_port_;
     net::ControlPayload hb;
     hb.action = net::Action::kHeartbeat;
-    pkt.payload = hb;
-    forward(net::makePacket(std::move(pkt)));
+    sendFrame(ha_peer_ip_, ha_peer_port_, net::kTosControl, hb);
 }
 
 bool
@@ -450,15 +431,7 @@ ProgrammableSwitch::adoptFailoverUplink()
 void
 ProgrammableSwitch::sendReplPayload(net::Payload payload)
 {
-    net::Packet pkt;
-    pkt.eth.src = mac_;
-    pkt.ip.src = cfg_.ip;
-    pkt.ip.dst = ha_peer_ip_;
-    pkt.ip.tos = net::kTosRepl;
-    pkt.udp.src_port = cfg_.udp_port;
-    pkt.udp.dst_port = ha_peer_port_;
-    pkt.payload = std::move(payload);
-    forward(net::makePacket(std::move(pkt)));
+    sendFrame(ha_peer_ip_, ha_peer_port_, net::kTosRepl, std::move(payload));
 }
 
 void

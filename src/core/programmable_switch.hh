@@ -14,6 +14,7 @@
 #ifndef ISW_CORE_PROGRAMMABLE_SWITCH_HH
 #define ISW_CORE_PROGRAMMABLE_SWITCH_HH
 
+#include <bitset>
 #include <memory>
 #include <memory_resource>
 #include <unordered_map>
@@ -65,10 +66,11 @@ class ProgrammableSwitch : public net::EthSwitch
                    std::uint8_t job = 0);
 
     /**
-     * Pin the aggregation threshold H. Without this call H tracks the
-     * membership count (the paper's default: H = number of children).
+     * Pin @p job's aggregation threshold H (the control plane's SetH).
+     * An unpinned job's H tracks its member count (the paper's
+     * default: H = number of children).
      */
-    void setManualThreshold(std::uint32_t h);
+    void setManualThreshold(std::uint32_t h, std::uint8_t job = 0);
 
     /** Completed results re-sendable via Help, keyed by segment. */
     std::size_t cachedResults() const { return result_cache_.size(); }
@@ -166,10 +168,18 @@ class ProgrammableSwitch : public net::EthSwitch
 
     void sendControlTo(const Member &m, net::ControlPayload msg);
 
+    /** Build a frame from this switch's address and service port to
+     *  @p dst:@p dst_port and forward it: every frame the switch
+     *  originates goes through here. @p payload is any net::Payload
+     *  alternative, moved straight into the frame. */
+    template <class P>
+    void sendFrame(net::Ipv4Addr dst, std::uint16_t dst_port,
+                   std::uint8_t tos, P &&payload);
+
     /** Nack a contribution that bounced off a busy aggregator slot. */
     void sendNack(std::uint8_t job, std::uint64_t seg, std::uint32_t src);
 
-    /** Recompute auto thresholds from membership (per job). */
+    /** Set each unpinned job's H to its member count (1 with none). */
     void refreshThreshold();
 
     /** Hand a cached result's buffer back to the frame pool if it came
@@ -190,7 +200,8 @@ class ProgrammableSwitch : public net::EthSwitch
     ProgrammableSwitchConfig cfg_;
     Accelerator accel_;
     ControlPlane ctrl_;
-    bool manual_threshold_ = false;
+    /** Jobs whose H was pinned (setManualThreshold / SetH). */
+    std::bitset<256> pinned_h_;
     net::MacAddr mac_;
     /**
      * Node storage of the two caches below: a pruned entry's node is

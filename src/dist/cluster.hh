@@ -73,10 +73,10 @@ struct ClusterConfig
     core::AcceleratorConfig accel{};   ///< accelerator parameters
     net::SwitchConfig switch_cfg{};    ///< base data-plane parameters
     /**
-     * Per-worker job tags for multi-job switch sharing (star only).
-     * Empty = every worker belongs to job 0 (the single-job layout,
-     * bit-identical to the pre-sharing builder). When set, size must
-     * equal num_workers; worker i adminJoins with job worker_jobs[i].
+     * Per-worker job tags for multi-job switch sharing (star only):
+     * runSharedJobs sets them, and an owned job rejects them. Empty =
+     * every worker belongs to job 0. When set, size must equal
+     * num_workers; worker i adminJoins with job worker_jobs[i].
      */
     std::vector<std::uint8_t> worker_jobs;
     /** High-availability primary/backup configuration. */

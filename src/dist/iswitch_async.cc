@@ -4,20 +4,9 @@
 
 namespace isw::dist {
 
-AsyncIswitchJob::AsyncIswitchJob(const JobConfig &cfg) : JobBase(cfg)
-{
-    init();
-}
-
 AsyncIswitchJob::AsyncIswitchJob(const JobConfig &cfg,
-                                 const SharedWorld &world)
+                                 const SharedWorld *world)
     : JobBase(cfg, world)
-{
-    init();
-}
-
-void
-AsyncIswitchJob::init()
 {
     fmt_ = gradientWire(/*iswitch_plane=*/true);
     rx_.resize(workers_.size());
@@ -45,18 +34,16 @@ AsyncIswitchJob::init()
             "segment count (async iSwitch cannot stream a bounded "
             "pool; grant at least segments() slots)");
     if (cfg_.agg_threshold != 0) {
-        if (jobId() == 0) {
-            // The control plane's SetH: pin H below the membership count.
-            for (auto *leaf : cluster_.leaves)
-                leaf->setManualThreshold(h_);
-            if (cluster_.root != cluster_.leaves.front())
-                cluster_.root->setManualThreshold(h_);
-            if (cluster_.backup != nullptr)
-                cluster_.backup->setManualThreshold(h_);
-        } else {
-            // Shared fabric: pin only our own job's threshold.
-            cluster_.root->accelerator().setJobThreshold(jobId(), h_);
-        }
+        // The control plane's SetH: pin our job's H below its member
+        // count at the leaves, the root and the backup. A fat-tree's
+        // AGGs keep their automatic H.
+        std::vector<core::ProgrammableSwitch *> pinned = cluster_.leaves;
+        if (cluster_.root != cluster_.leaves.front())
+            pinned.push_back(cluster_.root);
+        if (cluster_.backup != nullptr)
+            pinned.push_back(cluster_.backup);
+        for (auto *sw : pinned)
+            sw->setManualThreshold(h_, jobId());
     }
 }
 

@@ -29,20 +29,18 @@ namespace isw::dist {
 class AsyncIswitchJob : public JobBase
 {
   public:
-    explicit AsyncIswitchJob(const JobConfig &cfg);
-
-    /** Shared-fabric variant (multi-job switch sharing). Async mode
+    /** On its own world, or on @p world's shared fabric. Async mode
      *  reuses segment indices every iteration with dedupe off, so a
      *  bounded slot quota must cover the whole tensor: quota <
      *  segments() throws std::invalid_argument. */
-    AsyncIswitchJob(const JobConfig &cfg, const SharedWorld &world);
+    explicit AsyncIswitchJob(const JobConfig &cfg,
+                             const SharedWorld *world = nullptr);
 
   protected:
     void start() override;
     void collectExtras(RunResult &res) const override;
 
   private:
-    void init();
     void lgcLoop(WorkerCtx &w);
     void onWorkerPacket(WorkerCtx &w, const net::PacketPtr &pkt);
     void drainLwu(WorkerCtx &w);

@@ -4,20 +4,9 @@
 
 namespace isw::dist {
 
-SyncIswitchJob::SyncIswitchJob(const JobConfig &cfg) : JobBase(cfg)
-{
-    init();
-}
-
 SyncIswitchJob::SyncIswitchJob(const JobConfig &cfg,
-                               const SharedWorld &world)
+                               const SharedWorld *world)
     : JobBase(cfg, world)
-{
-    init();
-}
-
-void
-SyncIswitchJob::init()
 {
     fmt_ = gradientWire(/*iswitch_plane=*/true);
     for (auto &w : workers_)
@@ -34,14 +23,9 @@ SyncIswitchJob::init()
     // Retransmissions must be idempotent in synchronous mode at every
     // switch that folds them: a ToR that re-aggregates its rack for a
     // Help resends its partial, and an HA backup aggregates the same
-    // traffic after promotion. On a shared fabric only our own job's
-    // traffic may be touched.
-    if (jobId() == 0) {
-        for (auto *sw : cluster_.switches())
-            sw->accelerator().setDedupeContributors(true);
-    } else {
-        cluster_.root->accelerator().setJobDedupe(jobId(), true);
-    }
+    // traffic after promotion. Only our own job's knob is touched.
+    for (auto *sw : cluster_.switches())
+        sw->accelerator().setDedupe(true, jobId());
 }
 
 std::uint64_t
@@ -60,10 +44,10 @@ SyncIswitchJob::windowSegments() const
 {
     // A window equal to the slot quota keeps every in-flight segment
     // in a distinct aggregator slot (direct-mapped seg % quota): no
-    // busy drops in lossless runs. An ample quota degenerates to the
-    // legacy whole-round burst.
+    // busy drops in lossless runs. An unbounded pool or an ample quota
+    // sends the whole round at once.
     const std::uint64_t q = slotQuota();
-    return (q == 0 || q >= fmt_.segments()) ? 0 : q;
+    return (q == 0 || q >= fmt_.segments()) ? fmt_.segments() : q;
 }
 
 void
@@ -93,21 +77,11 @@ SyncIswitchJob::beginRound(WorkerCtx &w)
 void
 SyncIswitchJob::sendGradient(WorkerCtx &w)
 {
-    const net::Ipv4Addr agg = aggIpOf(w);
+    // Send the first window; results self-clock the rest.
     const std::uint64_t window = windowSegments();
-    if (window == 0) {
-        sendVector(*w.host, agg, kSwitchPort, kWorkerPort,
-                   net::kTosData, /*transfer_id=*/0, w.pending_grad, fmt_,
-                   segBase(w), jobId(), slotQuota(), w.ppp.get(),
-                   qexpSpan(w));
-        next_unsent_[w.index] = fmt_.segments();
-    } else {
-        // Stream the first window; results self-clock the rest.
-        next_unsent_[w.index] = 0;
-        for (std::uint64_t seg = 0; seg < window; ++seg)
-            sendOneSegment(w, seg);
-        next_unsent_[w.index] = window;
-    }
+    for (std::uint64_t seg = 0; seg < window; ++seg)
+        sendOneSegment(w, seg);
+    next_unsent_[w.index] = window;
     WorkerCtx *wp = &w;
     help_[w.index].arm([this, wp]() -> std::size_t {
         if (stopped())
@@ -129,8 +103,6 @@ void
 SyncIswitchJob::advanceWindow(WorkerCtx &w)
 {
     const std::uint64_t window = windowSegments();
-    if (window == 0)
-        return;
     // Segment s+W is released only once result s arrived, so the
     // in-flight set stays within [firstMissing, firstMissing + W) and
     // every in-flight segment owns a distinct slot.
@@ -151,9 +123,9 @@ SyncIswitchJob::requestHelp(WorkerCtx &w)
     const net::Ipv4Addr agg = aggIpOf(w);
     // Ask the switch for each missing segment (Table 2: Help). Each
     // striped index identifies exactly one (round, offset), so a
-    // cached completion can be served unambiguously. In streaming mode
-    // only segments already released are eligible — the rest are not
-    // lost, merely unsent.
+    // cached completion can be served unambiguously. Only segments
+    // already released are eligible — the rest are not lost, merely
+    // unsent.
     std::size_t n = 0;
     for (std::uint64_t seg : w.rx.missingSegments()) {
         if (seg >= next_unsent_[w.index])

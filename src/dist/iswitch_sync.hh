@@ -35,26 +35,23 @@ namespace isw::dist {
 class SyncIswitchJob : public JobBase
 {
   public:
-    explicit SyncIswitchJob(const JobConfig &cfg);
-
-    /** Shared-fabric variant (multi-job switch sharing). */
-    SyncIswitchJob(const JobConfig &cfg, const SharedWorld &world);
+    /** On its own world, or on @p world's shared fabric. */
+    explicit SyncIswitchJob(const JobConfig &cfg,
+                            const SharedWorld *world = nullptr);
 
   protected:
     void start() override;
 
   private:
-    void init();
-
     /** First striped Seg index of @p w's current round. */
     std::uint64_t segBase(const WorkerCtx &w) const;
 
-    /** Sliding sender window (0 = whole round at once). */
+    /** Sliding sender window (segments() = whole round at once). */
     std::uint64_t windowSegments() const;
 
     void beginRound(WorkerCtx &w);
     void sendGradient(WorkerCtx &w);
-    /** Send one segment (streaming window / Nack retry path). */
+    /** Send one segment (window, retransmit and Nack retry paths). */
     void sendOneSegment(WorkerCtx &w, std::uint64_t seg);
     /** Release window segments up to firstMissing() + W. */
     void advanceWindow(WorkerCtx &w);
@@ -83,7 +80,7 @@ class SyncIswitchJob : public JobBase
     std::vector<std::vector<std::int8_t>> seg_qexp_;
     /** Per-worker Help timers (deque: RetxTimer is address-pinned). */
     std::deque<RetxTimer> help_;
-    /** Per-worker next unsent segment offset (streaming mode only). */
+    /** Per-worker next unsent segment offset. */
     std::vector<std::uint64_t> next_unsent_;
     /** Per-worker consecutive-Nack streak (retry backoff escalation). */
     std::vector<std::uint32_t> nack_streak_;

@@ -102,13 +102,6 @@ struct RunResult
                    : sim::toMillis(total_time) /
                          static_cast<double>(iterations);
     }
-
-    /** End-to-end time in (simulated) hours. */
-    double
-    totalHours() const
-    {
-        return sim::toSeconds(total_time) / 3600.0;
-    }
 };
 
 } // namespace isw::dist

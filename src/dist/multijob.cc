@@ -131,7 +131,7 @@ runSharedJobs(const MultiJobConfig &cfg)
         world.worker_offset = offset;
         world.job_id = static_cast<std::uint8_t>(i + 1);
         world.slot_quota = quotas[i];
-        jobs.push_back(makeSharedJob(jc, world));
+        jobs.push_back(makeJob(jc, &world));
         offset += jc.num_workers;
     }
 

@@ -6,11 +6,11 @@
  * single Simulation.
  *
  * Each job gets a contiguous slice of the fabric's worker hosts, a
- * nonzero job id (1..K — id 0 stays the legacy/owned-world tag), and
- * a share of the switch's aggregator slots proportional to its tensor
- * segment count (min one slot per job). The scheduler reports per-job
- * RunResults plus fabric-level fairness, contention, and
- * aggregate-throughput counters.
+ * job id 1..K (the switch keeps one row of aggregation knobs per id;
+ * an owned job is job 0), and a share of the switch's aggregator
+ * slots proportional to its tensor segment count (min one slot per
+ * job). The scheduler reports per-job RunResults plus fabric-level
+ * fairness, contention, and aggregate-throughput counters.
  */
 
 #ifndef ISW_DIST_MULTIJOB_HH

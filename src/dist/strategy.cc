@@ -47,15 +47,32 @@ JobConfig::forBenchmark(rl::Algo algo, StrategyKind strategy,
     return cfg;
 }
 
-JobBase::JobBase(const JobConfig &cfg) : cfg_(cfg)
+JobBase::JobBase(const JobConfig &cfg, const SharedWorld *world)
+    : cfg_(cfg)
 {
     if (cfg_.num_workers == 0)
         throw std::invalid_argument("JobBase: zero workers");
+    if (world != nullptr)
+        joinSharedWorld(*world);
+    else
+        buildOwnedWorld();
+    initWorkers();
+    installFaults();
+    resolveRetx();
+}
+
+void
+JobBase::buildOwnedWorld()
+{
     if (cfg_.cluster.accel.num_slots > 0 &&
         (cfg_.use_tree || cfg_.use_fat_tree))
         throw std::invalid_argument(
             "JobBase: bounded slot pools are star-cluster only (the "
             "hierarchical path has no slot-aware upward flow yet)");
+    if (!cfg_.cluster.worker_jobs.empty())
+        throw std::invalid_argument(
+            "JobBase: cluster.worker_jobs tags the workers of a shared "
+            "fabric (runSharedJobs); an owned job's workers are job 0");
     owned_sim_ = std::make_unique<sim::Simulation>(cfg_.seed);
     sim_ = owned_sim_.get();
     slot_quota_ =
@@ -72,16 +89,11 @@ JobBase::JobBase(const JobConfig &cfg) : cfg_(cfg)
                                  : buildStarCluster(*sim_, ccfg);
     if (cfg_.shard)
         enableSharding();
-
-    initWorkers();
-    installFaults();
-    resolveRetx();
 }
 
-JobBase::JobBase(const JobConfig &cfg, const SharedWorld &world) : cfg_(cfg)
+void
+JobBase::joinSharedWorld(const SharedWorld &world)
 {
-    if (cfg_.num_workers == 0)
-        throw std::invalid_argument("JobBase: zero workers");
     if (world.sim == nullptr || world.fabric == nullptr)
         throw std::invalid_argument("JobBase: incomplete SharedWorld");
     if (!cfg_.faults.empty())
@@ -112,9 +124,6 @@ JobBase::JobBase(const JobConfig &cfg, const SharedWorld &world) : cfg_(cfg)
     cluster_.leaves = world.fabric->leaves;
     cluster_.root = world.fabric->root;
     cluster_.workersPerRack = 0; // star: every worker hangs off root
-
-    initWorkers();
-    resolveRetx();
 }
 
 JobBase::~JobBase()
@@ -708,36 +717,26 @@ JobBase::collectExtras(RunResult &res) const
 }
 
 std::unique_ptr<JobBase>
-makeJob(const JobConfig &cfg)
+makeJob(const JobConfig &cfg, const SharedWorld *world)
 {
+    if (world != nullptr && cfg.strategy != StrategyKind::kSyncIswitch &&
+        cfg.strategy != StrategyKind::kAsyncIswitch)
+        throw std::invalid_argument(
+            "makeJob: only the iSwitch strategies can share a switch "
+            "(PS/AllReduce never touch the aggregation plane)");
     switch (cfg.strategy) {
       case StrategyKind::kSyncPs:
         return std::make_unique<SyncPsJob>(cfg);
       case StrategyKind::kSyncAllReduce:
         return std::make_unique<SyncAllReduceJob>(cfg);
       case StrategyKind::kSyncIswitch:
-        return std::make_unique<SyncIswitchJob>(cfg);
+        return std::make_unique<SyncIswitchJob>(cfg, world);
       case StrategyKind::kAsyncPs:
         return std::make_unique<AsyncPsJob>(cfg);
       case StrategyKind::kAsyncIswitch:
-        return std::make_unique<AsyncIswitchJob>(cfg);
+        return std::make_unique<AsyncIswitchJob>(cfg, world);
     }
     throw std::logic_error("makeJob: unknown strategy");
-}
-
-std::unique_ptr<JobBase>
-makeSharedJob(const JobConfig &cfg, const SharedWorld &world)
-{
-    switch (cfg.strategy) {
-      case StrategyKind::kSyncIswitch:
-        return std::make_unique<SyncIswitchJob>(cfg, world);
-      case StrategyKind::kAsyncIswitch:
-        return std::make_unique<AsyncIswitchJob>(cfg, world);
-      default:
-        throw std::invalid_argument(
-            "makeSharedJob: only the iSwitch strategies can share a "
-            "switch (PS/AllReduce never touch the aggregation plane)");
-    }
 }
 
 RunResult

@@ -192,11 +192,15 @@ struct SharedWorld
 class JobBase
 {
   public:
-    JobBase(const JobConfig &cfg);
-
-    /** Construct against a shared fabric instead of an owned world.
-     *  Fault plans and tree clusters are owned-mode only. */
-    JobBase(const JobConfig &cfg, const SharedWorld &world);
+    /**
+     * Build the job's own world (simulation and cluster), or, with
+     * @p world, run against that shared fabric instead. Fault plans,
+     * tree clusters and sharding need an owned world, and an owned
+     * world rejects ClusterConfig::worker_jobs (only a shared fabric
+     * tags workers with jobs); each throws std::invalid_argument.
+     */
+    explicit JobBase(const JobConfig &cfg,
+                     const SharedWorld *world = nullptr);
 
     virtual ~JobBase();
 
@@ -312,9 +316,6 @@ class JobBase
     /** Should strategies arm retransmission timers? */
     bool recoveryEnabled() const { return recovery_on_; }
 
-    /** The resolved retransmission policy (timeout never 0). */
-    const RetransmitPolicy &retxPolicy() const { return retx_; }
-
     /** Configure @p t against this job's policy iff recovery is on;
      *  unconfigured timers no-op, so call sites stay unconditional. */
     void configureTimer(RetxTimer &t)
@@ -403,17 +404,7 @@ class JobBase
      */
     virtual void onShardBarrier() {}
 
-    /** The attached fault injector, or nullptr. */
-    net::FaultInjector *faultInjector() const { return injector_.get(); }
-
     // ----- High-availability failover (DESIGN.md §16) -----
-
-    /** Has the backup taken over (kFailover observed by this job)? */
-    bool
-    failedOver() const
-    {
-        return ha_failed_over_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Aggregation-plane address worker @p w targets: its leaf switch,
@@ -438,7 +429,8 @@ class JobBase
      */
     void handleFailover();
 
-    /** Job id stamped on this job's packets (0 for owned worlds). */
+    /** Job id stamped on this job's packets and member rows (0 for
+     *  owned worlds). */
     std::uint8_t jobId() const { return job_id_; }
 
     /** Aggregator slots available to this job on the root switch
@@ -467,6 +459,10 @@ class JobBase
     RecoveryStats recovery_;
 
   private:
+    /** Build the simulation and cluster this job owns. */
+    void buildOwnedWorld();
+    /** View @p world's fabric: our worker slice, every switch. */
+    void joinSharedWorld(const SharedWorld &world);
     void initWorkers();
     void resolveRetx();
     void checkStop();
@@ -541,16 +537,14 @@ class JobBase
     std::chrono::steady_clock::time_point run_t0_;
 };
 
-/** Construct the right Job subclass for @p cfg. */
-std::unique_ptr<JobBase> makeJob(const JobConfig &cfg);
-
 /**
- * Construct a job against a shared switch fabric (multi-job switch
+ * Construct the right Job subclass for @p cfg, on its own world or,
+ * with @p world, on that shared switch fabric (multi-job switch
  * sharing). Only the iSwitch strategies can share a switch; anything
  * else throws std::invalid_argument.
  */
-std::unique_ptr<JobBase> makeSharedJob(const JobConfig &cfg,
-                                       const SharedWorld &world);
+std::unique_ptr<JobBase> makeJob(const JobConfig &cfg,
+                                 const SharedWorld *world = nullptr);
 
 /** Convenience: build, run, destroy. */
 RunResult runJob(const JobConfig &cfg);

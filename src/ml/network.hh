@@ -70,9 +70,6 @@ class ParamSet
     /** Register every parameter of @p net. */
     void addNetwork(Network &net) { net.collectParams(refs_); }
 
-    /** Register a single layer (e.g. a separate head). */
-    void addLayer(Layer &layer) { layer.collectParams(refs_); }
-
     /** Total scalar parameter count. */
     std::size_t count() const;
 

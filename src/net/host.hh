@@ -34,8 +34,8 @@ class Host : public Node
     /** Install the application-layer receive callback. */
     void setReceiveHandler(ReceiveHandler h) { handler_ = std::move(h); }
 
-    /** NIC port all egress uses (0 unless failed over). */
-    std::size_t activeUplink() const { return active_uplink_; }
+    /** Make NIC port @p port the one all egress uses (0 unless failed
+     *  over). */
     void setActiveUplink(std::size_t port) { active_uplink_ = port; }
 
     /** Transmit a packet out of the active NIC port. */

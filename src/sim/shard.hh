@@ -238,12 +238,6 @@ class ShardedEngine
         return here != nullptr ? here->q.now() : committed_;
     }
 
-    /** End (exclusive) of the window currently executing. */
-    TimeNs windowEnd() const
-    {
-        return window_end_.load(std::memory_order_relaxed);
-    }
-
     /** Run windows until every queue drains or @p max_events ran
      *  (exactly @p max_events unless a window run on the pool
      *  overshoots). */

@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace isw::sim {
 
@@ -29,50 +28,6 @@ double
 Accumulator::stddev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      bins_(bins, 0)
-{
-    if (!(hi > lo) || bins == 0)
-        throw std::invalid_argument("Histogram: bad range or bin count");
-}
-
-void
-Histogram::add(double x)
-{
-    ++count_;
-    if (x < lo_) {
-        ++underflow_;
-    } else if (x >= hi_) {
-        ++overflow_;
-    } else {
-        auto idx = static_cast<std::size_t>((x - lo_) / width_);
-        idx = std::min(idx, bins_.size() - 1);
-        ++bins_[idx];
-    }
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const double target = q * static_cast<double>(count_);
-    double cum = static_cast<double>(underflow_);
-    if (target <= cum)
-        return lo_;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        const double next = cum + static_cast<double>(bins_[i]);
-        if (target <= next && bins_[i] > 0) {
-            const double frac = (target - cum) / static_cast<double>(bins_[i]);
-            return lo_ + (static_cast<double>(i) + frac) * width_;
-        }
-        cum = next;
-    }
-    return hi_;
 }
 
 } // namespace isw::sim

@@ -1,8 +1,7 @@
 /**
  * @file
- * Lightweight statistics primitives: counters, value accumulators
- * (Welford mean/variance), fixed-bin histograms, and (time, value)
- * series such as reward curves.
+ * Lightweight statistics primitives: value accumulators (Welford
+ * mean/variance) and (time, value) series such as reward curves.
  */
 
 #ifndef ISW_SIM_STATS_HH
@@ -17,18 +16,6 @@
 #include "sim/time.hh"
 
 namespace isw::sim {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t by = 1) { value_ += by; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** Streaming accumulator: count, sum, min, max, mean, variance. */
 class Accumulator
@@ -53,31 +40,6 @@ class Accumulator
     double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-width-bin histogram over [lo, hi) with under/overflow bins. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    std::size_t count() const { return count_; }
-    std::size_t bin(std::size_t i) const { return bins_.at(i); }
-    std::size_t numBins() const { return bins_.size(); }
-    std::size_t underflow() const { return underflow_; }
-    std::size_t overflow() const { return overflow_; }
-    /** Approximate quantile (linear within the containing bin). */
-    double quantile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::size_t> bins_;
-    std::size_t underflow_ = 0;
-    std::size_t overflow_ = 0;
-    std::size_t count_ = 0;
 };
 
 /** A recorded (simulated time, value) series, e.g. a reward curve. */

@@ -85,7 +85,8 @@ struct ControlFixture : ::testing::Test
                 sent.emplace_back(m.ip, msg);
             },
         .reset_accel = [this] { ++resets; },
-        .set_threshold = [this](std::uint32_t h) { threshold = h; },
+        .set_threshold = [this](std::uint32_t h,
+                                std::uint8_t) { threshold = h; },
         .force_broadcast =
             [this](std::uint64_t seg) { forced.push_back(seg); },
         .resend_cached =

@@ -63,7 +63,7 @@ TEST_F(ReplFixture, PerHarvestStreamsEveryAcceptWithContributorSet)
     // The HA datapath always runs with contributor dedupe on: the
     // replicated set is what makes post-failover retransmissions fold
     // in exactly once.
-    accel.setDedupeContributors(true);
+    accel.setDedupe(true);
     ReplicatedAccelerator repl = makeRepl(ReplicationMode::kPerHarvest);
     accel.setAccept([&](std::uint64_t key) { repl.onAccept(key); });
     accel.ingest(chunk(0, {1.0f, 2.0f}), 0xA1);

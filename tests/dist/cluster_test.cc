@@ -344,7 +344,7 @@ wiringDump(const Cluster &c)
             }
             for (int j : jobs)
                 o << "\n  H job " << j << ' '
-                  << sw->accelerator().thresholdFor(
+                  << sw->accelerator().threshold(
                          static_cast<std::uint8_t>(j));
             for (net::Ipv4Addr a : addrs) {
                 const auto port = sw->routeFor(a);

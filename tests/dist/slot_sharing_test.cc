@@ -13,6 +13,7 @@
 #include "dist/multijob.hh"
 #include "dist/strategy.hh"
 #include "harness/runner.hh"
+#include "net/packet_pool.hh"
 
 namespace isw::dist {
 namespace {
@@ -353,6 +354,82 @@ TEST(SwitchSharing, CrashedWorkersSlotsAreReclaimed)
     ASSERT_TRUE(res.ok()) << res.error;
     EXPECT_EQ(res.iterations, 6u);
     EXPECT_GT(res.extras.at("slot_reclaimed"), 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Per-job aggregation knobs: every job id, job 0 included, has its own
+// threshold and dedupe row at the switch, and SetH pins only the
+// sender's job.
+
+/** Send a control message from @p h to the star's switch. */
+void
+sendControl(const Cluster &c, net::Host *h, net::ControlPayload msg)
+{
+    h->sendTo(c.root->ip(), kSwitchPort, kWorkerPort, net::kTosControl,
+              std::move(msg));
+}
+
+TEST(PerJobKnobs, SetHFromJobTwoWorkerPinsOnlyJobTwo)
+{
+    sim::Simulation s(1);
+    ClusterConfig cfg;
+    cfg.worker_jobs = {1, 1, 2, 2};
+    const Cluster c = buildStarCluster(s, cfg);
+    const core::Accelerator &acc = c.root->accelerator();
+    ASSERT_EQ(acc.threshold(1), 2u);
+    ASSERT_EQ(acc.threshold(2), 2u);
+
+    sendControl(c, c.workers[2], {net::Action::kSetH, 1, true});
+    s.run();
+    EXPECT_EQ(acc.threshold(2), 1u);
+    EXPECT_EQ(acc.threshold(1), 2u);
+    EXPECT_EQ(acc.threshold(0), 1u);
+
+    // Job 1's H still tracks its members: a third one joins.
+    c.root->adminJoin(net::Ipv4Addr(10, 0, 0, 99), kWorkerPort,
+                      core::MemberType::kWorker, 1);
+    EXPECT_EQ(acc.threshold(1), 3u);
+    EXPECT_EQ(acc.threshold(2), 1u);
+}
+
+TEST(PerJobKnobs, PinnedThresholdSurvivesAnotherJobsLeave)
+{
+    // Job 2 is an async iSwitch job with H pinned at 1 on a shared
+    // star; a job-1 worker then leaves.
+    net::PacketPool frames;
+    const net::PacketPool::Scope frames_scope(frames);
+    sim::Simulation s(1);
+    ClusterConfig fabric_cfg;
+    fabric_cfg.worker_jobs = {1, 1, 2, 2};
+    Cluster fabric = buildStarCluster(s, fabric_cfg);
+    JobConfig cfg = JobConfig::forBenchmark(
+        rl::Algo::kPpo, StrategyKind::kAsyncIswitch, 2);
+    cfg.agg_threshold = 1;
+    SharedWorld world;
+    world.sim = &s;
+    world.fabric = &fabric;
+    world.worker_offset = 2;
+    world.job_id = 2;
+    const auto job = makeJob(cfg, &world);
+    const core::Accelerator &acc = fabric.root->accelerator();
+    ASSERT_EQ(acc.threshold(2), 1u);
+
+    sendControl(fabric, fabric.workers[0], {net::Action::kLeave, 0, false});
+    s.run();
+    EXPECT_EQ(acc.threshold(1), 1u);
+    EXPECT_EQ(acc.threshold(2), 1u);
+}
+
+TEST(PerJobKnobs, OwnedJobRejectsWorkerJobs)
+{
+    // Only runSharedJobs tags workers with jobs: an owned job stamps
+    // its frames with job 0, which would have no members to serve.
+    JobConfig cfg = JobConfig::forBenchmark(
+        rl::Algo::kPpo, StrategyKind::kSyncIswitch, 4);
+    cfg.cluster.worker_jobs = {1, 1, 2, 2};
+    EXPECT_THROW(makeJob(cfg), std::invalid_argument);
+    cfg.use_tree = true;
+    EXPECT_THROW(makeJob(cfg), std::invalid_argument);
 }
 
 } // namespace

@@ -8,17 +8,6 @@
 namespace isw::sim {
 namespace {
 
-TEST(Counter, IncrementsAndResets)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Accumulator, EmptyIsZero)
 {
     Accumulator a;
@@ -58,36 +47,6 @@ TEST(Accumulator, NegativeValues)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
     EXPECT_DOUBLE_EQ(a.min(), -5.0);
     EXPECT_DOUBLE_EQ(a.max(), 5.0);
-}
-
-TEST(Histogram, RejectsBadConfig)
-{
-    EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(10.0); // hi is exclusive
-    h.add(25.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bin(0), 1u);
-    EXPECT_EQ(h.bin(9), 1u);
-    EXPECT_EQ(h.count(), 5u);
-}
-
-TEST(Histogram, QuantileApproximation)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
 }
 
 TEST(TimeSeries, RecordsPoints)
