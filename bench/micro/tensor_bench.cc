@@ -66,6 +66,26 @@ BM_AffineBackward(benchmark::State &state)
 }
 BENCHMARK(BM_AffineBackward)->Arg(64);
 
+/** The Tanh layer's kernel on pre-activations in [-3, 3]: 48 floats
+ *  are one DDPG action row, 3072 a 64x48 batch. */
+void
+BM_TanhForward(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    sim::Rng rng(3);
+    ml::Vec x(n), y(n);
+    for (float &v : x)
+        v = static_cast<float>(rng.uniform(-3.0, 3.0));
+    for (auto _ : state) {
+        ml::tanhForward(x, y);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_TanhForward)->Arg(48)->Arg(3072);
+
 void
 BM_MlpForwardBackward(benchmark::State &state)
 {

@@ -190,19 +190,29 @@ ProgrammableSwitch::onControl(const net::PacketPtr &pkt)
 {
     if (const auto *c = std::get_if<net::ControlPayload>(&pkt->payload)) {
         ctrl_.handle(pkt->ip.src, pkt->udp.src_port, *c);
-        // HA primary: mirror membership events to the backup so its
-        // table (and auto-H) tracks ours. Duplicate Joins mirror too —
-        // the backup's join() is idempotent, like ours.
-        if (ha_primary_ && (c->action == net::Action::kJoin ||
-                            c->action == net::Action::kLeave)) {
-            const std::uint64_t jv =
-                c->action == net::Action::kJoin
-                    ? (c->has_value
-                           ? c->value
-                           : encodeJoinValue(pkt->udp.src_port,
-                                             MemberType::kWorker))
-                    : 0;
-            repl_->onMembership(c->action, pkt->ip.src.bits(), jv);
+        if (!ha_primary_)
+            return;
+        // HA primary: mirror membership events and accepted SetH to the
+        // backup so its table, auto-H and pinned H track ours. Duplicate
+        // Joins mirror too — the backup's join() is idempotent, like ours.
+        switch (c->action) {
+          case net::Action::kJoin:
+            repl_->onControl(c->action, pkt->ip.src.bits(),
+                             c->has_value
+                                 ? c->value
+                                 : encodeJoinValue(pkt->udp.src_port,
+                                                   MemberType::kWorker));
+            break;
+          case net::Action::kLeave:
+            repl_->onControl(c->action, pkt->ip.src.bits(), 0);
+            break;
+          case net::Action::kSetH:
+            if (c->has_value)
+                repl_->onControl(c->action, pkt->ip.src.bits(),
+                                 static_cast<std::uint32_t>(c->value));
+            break;
+          default:
+            break;
         }
     }
 }
@@ -438,10 +448,10 @@ void
 ProgrammableSwitch::onRepl(const net::PacketPtr &pkt)
 {
     if (const auto *c = std::get_if<net::ControlPayload>(&pkt->payload)) {
-        // Mirrored membership event. Applied straight to the table —
-        // not through ControlPlane::handle — so no acks flow and the
-        // mirrored event can carry the member's IP instead of the
-        // frame's source address.
+        // Mirrored membership event or SetH. Applied straight to the
+        // table and the accelerator — not through ControlPlane::handle
+        // — so no acks flow and the mirrored event can carry the
+        // member's IP instead of the frame's source address.
         const net::Ipv4Addr mip(replMemberIp(c->value));
         if (c->action == net::Action::kJoin) {
             const std::uint64_t jv = replMemberJoinValue(c->value);
@@ -453,6 +463,12 @@ ProgrammableSwitch::onRepl(const net::PacketPtr &pkt)
                 accel_.reclaimFrom(mip.bits());
                 refreshThreshold();
             }
+        } else if (c->action == net::Action::kSetH) {
+            // Pin the sender's job, as the primary's ControlPlane did.
+            const auto m = ctrl_.table().find(mip);
+            setManualThreshold(
+                static_cast<std::uint32_t>(replMemberJoinValue(c->value)),
+                m ? m->job : std::uint8_t{0});
         }
         ++ha_members_applied_;
         return;

@@ -110,14 +110,14 @@ ReplicatedAccelerator::onResult(std::uint64_t key,
 }
 
 void
-ReplicatedAccelerator::onMembership(net::Action action,
-                                    std::uint32_t member_ip_bits,
-                                    std::uint64_t join_value)
+ReplicatedAccelerator::onControl(net::Action action,
+                                 std::uint32_t member_ip_bits,
+                                 std::uint64_t value)
 {
     net::ControlPayload c;
     c.action = action;
     c.has_value = true;
-    c.value = packReplMember(member_ip_bits, join_value);
+    c.value = packReplMember(member_ip_bits, value);
     send_(c);
     ++stats_.member_frames;
 }

@@ -63,7 +63,7 @@ struct ReplicationStats
 {
     std::uint64_t state_frames = 0;
     std::uint64_t result_frames = 0;
-    std::uint64_t member_frames = 0;
+    std::uint64_t member_frames = 0; ///< mirrored Join, Leave and SetH
 };
 
 /**
@@ -105,12 +105,12 @@ replResultSeq(std::uint64_t tid)
     return (tid >> 32) & 0x7FFFFFFF;
 }
 
-/** Membership mirror value: member IP high, original Join value low
- *  (a Join value only occupies bits 0..31: port, type bit, job). */
+/** Control mirror value: member IP high, the original Join value (bits
+ *  0..31: port, type bit, job) or SetH's H low; 0 for a Leave. */
 constexpr std::uint64_t
-packReplMember(std::uint32_t ip_bits, std::uint64_t join_value)
+packReplMember(std::uint32_t ip_bits, std::uint64_t value)
 {
-    return (std::uint64_t{ip_bits} << 32) | (join_value & 0xFFFFFFFFULL);
+    return (std::uint64_t{ip_bits} << 32) | (value & 0xFFFFFFFFULL);
 }
 
 constexpr std::uint32_t
@@ -148,9 +148,10 @@ class ReplicatedAccelerator
                   std::uint32_t wire_floats, std::uint32_t count,
                   std::uint64_t seq, net::Precision prec, std::int8_t qexp);
 
-    /** Mirror a membership event (@p join_value is 0 for Leave). */
-    void onMembership(net::Action action, std::uint32_t member_ip_bits,
-                      std::uint64_t join_value);
+    /** Mirror a Join, Leave or SetH from member @p member_ip_bits;
+     *  @p value is the Join value, 0 for a Leave, or SetH's H. */
+    void onControl(net::Action action, std::uint32_t member_ip_bits,
+                   std::uint64_t value);
 
     /** Periodic pump (piggybacks on the heartbeat): flushes the dirty
      *  set once the staleness window expires. kBatchedLazy only. */

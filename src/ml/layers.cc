@@ -34,6 +34,12 @@ Linear::backward(const Matrix &dy)
 }
 
 void
+Linear::backwardParams(const Matrix &dy)
+{
+    affineParamGrads(dy, x_, gw_, gb_);
+}
+
+void
 Linear::collectParams(std::vector<ParamRef> &out)
 {
     out.push_back({name_ + ".w", w_.raw(), gw_.raw()});
@@ -62,9 +68,8 @@ ReLU::backward(const Matrix &dy)
 Matrix
 Tanh::forward(const Matrix &x)
 {
-    y_ = x;
-    for (float &v : y_.raw())
-        v = std::tanh(v);
+    y_.resize(x.rows(), x.cols());
+    tanhForward(x.raw(), y_.raw());
     return y_;
 }
 
@@ -72,10 +77,7 @@ Matrix
 Tanh::backward(const Matrix &dy)
 {
     Matrix dx = dy;
-    for (std::size_t i = 0; i < dx.raw().size(); ++i) {
-        const float t = y_.raw()[i];
-        dx.raw()[i] *= 1.0f - t * t;
-    }
+    tanhBackward(y_.raw(), dx.raw());
     return dx;
 }
 

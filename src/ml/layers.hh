@@ -39,6 +39,10 @@ class Layer
     /** Propagate upstream gradient; accumulates parameter grads. */
     virtual Matrix backward(const Matrix &dy) = 0;
 
+    /** backward() for a caller that discards the input gradient: a
+     *  layer that can skip computing it overrides this. */
+    virtual void backwardParams(const Matrix &dy) { backward(dy); }
+
     /** Append this layer's parameters to @p out. */
     virtual void collectParams(std::vector<ParamRef> &out) { (void)out; }
 };
@@ -58,6 +62,7 @@ class Linear : public Layer
 
     Matrix forward(const Matrix &x) override;
     Matrix backward(const Matrix &dy) override;
+    void backwardParams(const Matrix &dy) override;
     void collectParams(std::vector<ParamRef> &out) override;
 
     std::size_t inDim() const { return w_.cols(); }

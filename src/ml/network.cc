@@ -24,6 +24,17 @@ Network::backward(const Matrix &dy)
 }
 
 void
+Network::backwardParams(const Matrix &dy)
+{
+    if (layers_.empty())
+        return;
+    Matrix g = dy;
+    for (std::size_t i = layers_.size() - 1; i > 0; --i)
+        g = layers_[i]->backward(g);
+    layers_.front()->backwardParams(g);
+}
+
+void
 Network::collectParams(std::vector<ParamRef> &out)
 {
     for (auto &layer : layers_)

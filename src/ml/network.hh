@@ -49,6 +49,9 @@ class Network
 
     Matrix forward(const Matrix &x);
     Matrix backward(const Matrix &dy);
+    /** backward() without the input gradient, which the first layer
+     *  then skips computing; parameter gradients are the same. */
+    void backwardParams(const Matrix &dy);
     void collectParams(std::vector<ParamRef> &out);
 
     std::size_t numLayers() const { return layers_.size(); }

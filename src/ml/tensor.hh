@@ -5,7 +5,9 @@
  * RL training uses. The dense-layer kernels are register-blocked over
  * 4-float vectors, so they vectorize in the default -O2 build, and add
  * every output's terms in the order of the plain loops: results are
- * bit-identical at every optimization level.
+ * bit-identical at every optimization level. The tanh kernel runs the
+ * C library's float tanh four lanes at a time and returns its bits on
+ * every input.
  */
 
 #ifndef ISW_ML_TENSOR_HH
@@ -61,6 +63,16 @@ class Matrix
 
     void fill(float v) { d_.assign(d_.size(), v); }
 
+    /** Take the shape rows x cols, keeping the storage; the element
+     *  values are then unspecified, for a caller that writes them all. */
+    void
+    resize(std::size_t rows, std::size_t cols)
+    {
+        rows_ = rows;
+        cols_ = cols;
+        d_.resize(rows * cols);
+    }
+
     std::vector<float> &raw() { return d_; }
     const std::vector<float> &raw() const { return d_; }
 
@@ -81,6 +93,25 @@ void affineForward(const Matrix &x, const Matrix &w, const Vec &b,
  */
 void affineBackward(const Matrix &dy, const Matrix &x, const Matrix &w,
                     Matrix &dw, Vec &db, Matrix &dx);
+
+/**
+ * The parameter half of affineBackward: dW += dY^T X and db +=
+ * colsum(dY), without the dX pass, for a first layer whose input
+ * gradient nobody reads.
+ */
+void affineParamGrads(const Matrix &dy, const Matrix &x, Matrix &dw,
+                      Vec &db);
+
+/**
+ * y[i] = tanh(x[i]) (sizes must match; @p y may be @p x). Every result
+ * has the bits of the C library's tanhf (fdlibm's algorithm, as glibc
+ * runs it), NaN payloads included, whatever the platform's own tanhf.
+ */
+void tanhForward(std::span<const float> x, std::span<float> y);
+
+/** g[i] *= 1 - y[i]*y[i]: the tanh backward, given the forward's
+ *  output @p y, on the upstream gradient @p g in place. */
+void tanhBackward(std::span<const float> y, std::span<float> g);
 
 /** y += a * x elementwise (sizes must match). */
 void axpy(float a, std::span<const float> x, std::span<float> y);

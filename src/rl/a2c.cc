@@ -123,7 +123,7 @@ A2cAgent::computeGradient()
     const ml::Matrix dh_v = value_net_.backward(dv);
     for (std::size_t i = 0; i < dh_pi.raw().size(); ++i)
         dh_pi.raw()[i] += dh_v.raw()[i];
-    trunk_.backward(dh_pi);
+    trunk_.backwardParams(dh_pi);
     params_.clipGradNorm(cfg_.grad_clip);
     params_.copyGradsTo(grad_);
     return grad_;

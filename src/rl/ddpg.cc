@@ -137,7 +137,7 @@ DdpgAgent::computeGradient()
         for (std::size_t j = 0; j < act_dim; ++j)
             da.at(i, j) = dsa.at(i, obs_dim + j);
     }
-    actor_.backward(da);
+    actor_.backwardParams(da);
     ml::Vec actor_grad;
     actor_params_.copyGradsTo(actor_grad);
 
@@ -153,7 +153,7 @@ DdpgAgent::computeGradient()
             (batch_[i]->done ? 0.0f : cfg_.gamma * q2.at(i, 0));
         dq.at(i, 0) = 2.0f * (q_pred.at(i, 0) - y) * inv_b;
     }
-    critic_.backward(dq);
+    critic_.backwardParams(dq);
     actor_params_.accumulateGrads(actor_grad);
 
     params_.clipGradNorm(cfg_.grad_clip);

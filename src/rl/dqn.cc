@@ -125,7 +125,7 @@ DqnAgent::computeGradient()
         dpred.at(i, a) = std::clamp(diff, -1.0f, 1.0f) * inv_b;
     }
 
-    q_.backward(dpred);
+    q_.backwardParams(dpred);
     params_.clipGradNorm(cfg_.grad_clip);
     params_.copyGradsTo(grad_);
     return grad_;

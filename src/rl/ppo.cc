@@ -125,8 +125,8 @@ PpoAgent::computeGradient()
         dlogstd[j] += -cfg_.entropy_coef;
 
     params_.zeroGrads();
-    policy_.backward(dmu);
-    value_.backward(dv);
+    policy_.backwardParams(dmu);
+    value_.backwardParams(dv);
     for (std::size_t j = 0; j < act_dim; ++j)
         log_std_->grad()[j] += dlogstd[j];
     params_.clipGradNorm(cfg_.grad_clip);

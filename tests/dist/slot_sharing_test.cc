@@ -392,6 +392,37 @@ TEST(PerJobKnobs, SetHFromJobTwoWorkerPinsOnlyJobTwo)
     EXPECT_EQ(acc.threshold(2), 1u);
 }
 
+TEST(PerJobKnobs, SetHAtHaPrimaryPinsTheBackup)
+{
+    // The backup mirrors the primary's control plane, so a promoted
+    // backup must fold with the H a worker set, not the automatic one.
+    sim::Simulation s(1);
+    ClusterConfig cfg;
+    cfg.ha.with_backup = true;
+    const Cluster c = buildStarCluster(s, cfg);
+    ASSERT_NE(c.backup, nullptr);
+    ASSERT_EQ(c.backup->accelerator().threshold(0), 4u);
+
+    sendControl(c, c.workers[0], {net::Action::kSetH, 2, true});
+    s.run();
+    EXPECT_EQ(c.root->accelerator().threshold(0), 2u);
+    EXPECT_EQ(c.backup->accelerator().threshold(0), 2u);
+
+    // Membership changes the primary mirrors leave the pin in place.
+    sendControl(c, c.workers[3], {net::Action::kLeave, 0, false});
+    s.run();
+    sendControl(c, c.workers[3],
+                {net::Action::kJoin,
+                 core::encodeJoinValue(kWorkerPort, core::MemberType::kWorker),
+                 true});
+    s.run();
+    EXPECT_EQ(c.backup->controlPlane().table().size(), 4u);
+    EXPECT_EQ(c.backup->accelerator().threshold(0), 2u);
+    c.backup->adminJoin(net::Ipv4Addr(10, 0, 0, 99), kWorkerPort,
+                        core::MemberType::kWorker);
+    EXPECT_EQ(c.backup->accelerator().threshold(0), 2u);
+}
+
 TEST(PerJobKnobs, PinnedThresholdSurvivesAnotherJobsLeave)
 {
     // Job 2 is an async iSwitch job with H pinned at 1 on a shared

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "ml/network.hh"
 
@@ -24,6 +26,44 @@ TEST(Network, ForwardProducesExpectedShape)
     Matrix y = net.forward(Matrix(5, 3, 0.1f));
     EXPECT_EQ(y.rows(), 5u);
     EXPECT_EQ(y.cols(), 2u);
+}
+
+template <class Act>
+void
+expectBackwardParamsMatchesBackward(std::uint64_t seed)
+{
+    // Two copies of one network take the same batch; one runs the full
+    // backward, the other skips the first layer's input gradient.
+    sim::Rng rng_a(seed), rng_b(seed), data(seed + 1);
+    Network a = Network::mlp<Act>({5, 16, 16, 3}, rng_a);
+    Network b = Network::mlp<Act>({5, 16, 16, 3}, rng_b);
+    ParamSet pa, pb;
+    pa.addNetwork(a);
+    pb.addNetwork(b);
+    Matrix x(7, 5), dy(7, 3);
+    for (float &v : x.raw())
+        v = static_cast<float>(data.uniform(-2.0, 2.0));
+    for (float &v : dy.raw())
+        v = static_cast<float>(data.uniform(-1.0, 1.0));
+    a.forward(x);
+    b.forward(x);
+    const Matrix dx = a.backward(dy);
+    b.backwardParams(dy);
+    EXPECT_EQ(dx.rows(), 7u);
+    Vec ga, gb;
+    pa.copyGradsTo(ga);
+    pb.copyGradsTo(gb);
+    ASSERT_EQ(ga.size(), gb.size());
+    for (std::size_t i = 0; i < ga.size(); ++i)
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(ga[i]),
+                  std::bit_cast<std::uint32_t>(gb[i]))
+            << "gradient " << i;
+}
+
+TEST(Network, BackwardParamsGivesBackwardsParameterGradients)
+{
+    expectBackwardParamsMatchesBackward<Tanh>(11);
+    expectBackwardParamsMatchesBackward<ReLU>(12);
 }
 
 TEST(ParamSet, CountMatchesArchitecture)
