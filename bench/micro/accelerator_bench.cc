@@ -28,7 +28,7 @@ BM_SegBufferAccumulate(benchmark::State &state)
     std::uint64_t seg = 0;
     for (auto _ : state) {
         chunk.seg = seg++ % 64;
-        benchmark::DoNotOptimize(pool.accumulate(chunk, 1u << 30));
+        benchmark::DoNotOptimize(pool.offer(chunk, 1u << 30));
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             366 * 4);

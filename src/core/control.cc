@@ -74,62 +74,76 @@ ControlPlane::ack(net::Ipv4Addr ip, std::uint16_t port, bool ok)
         hooks_.send_control(Member{0, ip, port, MemberType::kWorker}, reply);
 }
 
+bool
+ControlPlane::applyMembership(net::Action action, net::Ipv4Addr ip,
+                              std::uint64_t value)
+{
+    switch (action) {
+      case net::Action::kJoin: {
+        // A duplicate Join (retransmitted hello, rejoin race) must not
+        // trigger a membership recompute: the table did not change.
+        // Mirrors the Leave-from-non-member rule below.
+        bool changed = false;
+        table_.join(ip, joinValuePort(value), joinValueType(value),
+                    joinValueJob(value), &changed);
+        halted_ = false;
+        if (changed && hooks_.membership_changed)
+            hooks_.membership_changed();
+        return true;
+      }
+      case net::Action::kLeave: {
+        // A Leave from a non-member must not trigger a membership
+        // recompute: the table did not change.
+        const auto leaver = table_.find(ip);
+        if (!table_.leave(ip))
+            return false;
+        if (hooks_.member_left)
+            hooks_.member_left(*leaver);
+        if (hooks_.membership_changed)
+            hooks_.membership_changed();
+        return true;
+      }
+      case net::Action::kSetH: {
+        if (!hooks_.set_threshold)
+            return false;
+        // Pin the requester's job only, as FBcast and Help act on the
+        // requester's job.
+        const auto m = table_.find(ip);
+        hooks_.set_threshold(static_cast<std::uint32_t>(value),
+                             m ? m->job : std::uint8_t{0});
+        return true;
+      }
+      default:
+        return false;
+    }
+}
+
 void
 ControlPlane::handle(net::Ipv4Addr src_ip, std::uint16_t src_port,
                      const net::ControlPayload &msg)
 {
     switch (msg.action) {
-      case net::Action::kJoin: {
-        const std::uint16_t port =
-            msg.has_value ? joinValuePort(msg.value) : src_port;
-        const MemberType type =
-            msg.has_value ? joinValueType(msg.value) : MemberType::kWorker;
-        const std::uint8_t job =
-            msg.has_value ? joinValueJob(msg.value) : std::uint8_t{0};
-        // A duplicate Join (retransmitted hello, rejoin race) must not
-        // trigger a membership recompute: the table did not change.
-        // Mirrors the Leave-from-non-member rule below.
-        bool changed = false;
-        table_.join(src_ip, port, type, job, &changed);
-        halted_ = false;
-        if (changed && hooks_.membership_changed)
-            hooks_.membership_changed();
+      case net::Action::kJoin:
+        // A Join without a value registers the sender's own port.
+        applyMembership(msg.action, src_ip,
+                        msg.has_value
+                            ? msg.value
+                            : encodeJoinValue(src_port, MemberType::kWorker));
         ack(src_ip, src_port, true);
         break;
-      }
-      case net::Action::kLeave: {
-        // A Leave from a non-member must not trigger a membership
-        // recompute: the table did not change.
-        const auto leaver = table_.find(src_ip);
-        const bool ok = table_.leave(src_ip);
-        if (ok) {
-            if (hooks_.member_left)
-                hooks_.member_left(*leaver);
-            if (hooks_.membership_changed)
-                hooks_.membership_changed();
-        }
-        ack(src_ip, src_port, ok);
+      case net::Action::kLeave:
+        ack(src_ip, src_port, applyMembership(msg.action, src_ip, 0));
         break;
-      }
       case net::Action::kReset: {
         if (hooks_.reset_accel)
             hooks_.reset_accel();
         ack(src_ip, src_port, true);
         break;
       }
-      case net::Action::kSetH: {
-        if (msg.has_value && hooks_.set_threshold) {
-            // Pin the requester's job only, as FBcast and Help act on
-            // the requester's job.
-            const auto m = table_.find(src_ip);
-            hooks_.set_threshold(static_cast<std::uint32_t>(msg.value),
-                                 m ? m->job : std::uint8_t{0});
-            ack(src_ip, src_port, true);
-        } else {
-            ack(src_ip, src_port, false);
-        }
+      case net::Action::kSetH:
+        ack(src_ip, src_port,
+            msg.has_value && applyMembership(msg.action, src_ip, msg.value));
         break;
-      }
       case net::Action::kFBcast: {
         if (msg.has_value && hooks_.force_broadcast) {
             // Stamp the requester's job into the Seg word so multi-job

@@ -250,6 +250,20 @@ class ControlPlane
     void handle(net::Ipv4Addr src_ip, std::uint16_t src_port,
                 const net::ControlPayload &msg);
 
+    /**
+     * Apply a membership action for member @p ip through the hooks,
+     * replying to no one: a Join (@p value is the Join value), a Leave
+     * (@p value unused) or a SetH (@p value is H, pinned for @p ip's
+     * job). handle() runs every Join, Leave and SetH through here
+     * before it acks; an HA backup applies the events its primary
+     * mirrors, and ProgrammableSwitch::adminJoin joins members
+     * without the handshake. Other actions are ignored.
+     * @return the ack's verdict: false for a Leave from a non-member,
+     *         a SetH the switch cannot pin, or another action.
+     */
+    bool applyMembership(net::Action action, net::Ipv4Addr ip,
+                         std::uint64_t value);
+
     MembershipTable &table() { return table_; }
     const MembershipTable &table() const { return table_; }
 

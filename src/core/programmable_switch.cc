@@ -14,15 +14,8 @@ void
 ProgrammableSwitch::sendFrame(net::Ipv4Addr dst, std::uint16_t dst_port,
                               std::uint8_t tos, P &&payload)
 {
-    net::Packet pkt;
-    pkt.eth.src = mac_;
-    pkt.ip.src = cfg_.ip;
-    pkt.ip.dst = dst;
-    pkt.ip.tos = tos;
-    pkt.udp.src_port = cfg_.udp_port;
-    pkt.udp.dst_port = dst_port;
-    pkt.payload = std::forward<P>(payload);
-    forward(net::makePacket(std::move(pkt)));
+    forward(net::makeUdpFrame(mac_, cfg_.ip, cfg_.udp_port, dst, dst_port,
+                              tos, std::forward<P>(payload)));
 }
 
 ProgrammableSwitch::ProgrammableSwitch(sim::Simulation &s, std::string name,
@@ -103,8 +96,8 @@ void
 ProgrammableSwitch::adminJoin(net::Ipv4Addr ip, std::uint16_t udp_port,
                               MemberType type, std::uint8_t job)
 {
-    ctrl_.table().join(ip, udp_port, type, job);
-    refreshThreshold();
+    ctrl_.applyMembership(net::Action::kJoin, ip,
+                          encodeJoinValue(udp_port, type, job));
 }
 
 void
@@ -448,28 +441,12 @@ void
 ProgrammableSwitch::onRepl(const net::PacketPtr &pkt)
 {
     if (const auto *c = std::get_if<net::ControlPayload>(&pkt->payload)) {
-        // Mirrored membership event or SetH. Applied straight to the
-        // table and the accelerator — not through ControlPlane::handle
-        // — so no acks flow and the mirrored event can carry the
-        // member's IP instead of the frame's source address.
-        const net::Ipv4Addr mip(replMemberIp(c->value));
-        if (c->action == net::Action::kJoin) {
-            const std::uint64_t jv = replMemberJoinValue(c->value);
-            ctrl_.table().join(mip, joinValuePort(jv), joinValueType(jv),
-                               joinValueJob(jv));
-            refreshThreshold();
-        } else if (c->action == net::Action::kLeave) {
-            if (ctrl_.table().leave(mip)) {
-                accel_.reclaimFrom(mip.bits());
-                refreshThreshold();
-            }
-        } else if (c->action == net::Action::kSetH) {
-            // Pin the sender's job, as the primary's ControlPlane did.
-            const auto m = ctrl_.table().find(mip);
-            setManualThreshold(
-                static_cast<std::uint32_t>(replMemberJoinValue(c->value)),
-                m ? m->job : std::uint8_t{0});
-        }
+        // Mirrored Join, Leave or SetH: applied by the control plane's
+        // own membership path, for the member the event names (not
+        // the frame's source), and acked to no one.
+        ctrl_.applyMembership(c->action,
+                              net::Ipv4Addr(replMemberIp(c->value)),
+                              replMemberJoinValue(c->value));
         ++ha_members_applied_;
         return;
     }

@@ -173,13 +173,6 @@ class SegBufferPool
     SlotOutcome offer(const net::ChunkPayload &chunk, std::uint32_t h,
                       std::uint32_t src = 0, bool dedupe = false);
 
-    /** Legacy wrapper: true iff the contribution reached H. */
-    bool accumulate(const net::ChunkPayload &chunk, std::uint32_t h,
-                    std::uint32_t src = 0, bool dedupe = false)
-    {
-        return offer(chunk, h, src, dedupe) == SlotOutcome::kCompleted;
-    }
-
     /** Number of segments currently holding partial sums. */
     std::size_t activeSegments() const { return active_; }
 

@@ -103,7 +103,7 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
                    std::span<const float>(rs.acc.data() + cs.log_begin,
                                           cs.log_end - cs.log_begin),
                    cfmt, /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                   wp->ppp.get());
+                   &wp->ppp);
         if (!recoveryEnabled())
             return;
         // Snapshot the chunk as sent: rs.acc mutates as later steps
@@ -136,7 +136,7 @@ SyncAllReduceJob::sendStep(WorkerCtx &w, std::size_t step)
                 sendVectorSegment(*wp->host, dst->ip(), kWorkerPort,
                                   kWorkerPort, /*tos=*/0, tid, op->data,
                                   op->fmt, seg, /*seg_base=*/0, /*job=*/0,
-                                  /*ver_quota=*/0, wp->ppp.get());
+                                  /*ver_quota=*/0, &wp->ppp);
             });
     });
 }

@@ -91,7 +91,7 @@ AsyncIswitchJob::lgcLoop(WorkerCtx &w)
                 sendVector(*wp->host, aggIpOf(*wp), kSwitchPort, kWorkerPort,
                            net::kTosData, /*transfer_id=*/0, grad, fmt_,
                            /*seg_base=*/0, jobId(), /*ver_quota=*/0,
-                           wp->ppp.get(), static_qexp_);
+                           &wp->ppp, static_qexp_);
                 if (recoveryEnabled()) {
                     last_sent_[wp->index] = grad;
                     rearmWatch(*wp);
@@ -189,7 +189,7 @@ AsyncIswitchJob::nudge(WorkerCtx &w)
                               kWorkerPort, net::kTosData,
                               /*transfer_id=*/0, last_sent_[w.index],
                               fmt_, seg, /*seg_base=*/0, jobId(),
-                              /*ver_quota=*/0, w.ppp.get(), static_qexp_);
+                              /*ver_quota=*/0, &w.ppp, static_qexp_);
             ++recovery_.retransmits;
         }
     }

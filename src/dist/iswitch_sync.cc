@@ -96,7 +96,7 @@ SyncIswitchJob::sendOneSegment(WorkerCtx &w, std::uint64_t seg)
     sendVectorSegment(*w.host, aggIpOf(w), kSwitchPort, kWorkerPort,
                       net::kTosData, /*transfer_id=*/0, w.pending_grad,
                       fmt_, seg, segBase(w), jobId(), slotQuota(),
-                      w.ppp.get(), qexpSpan(w));
+                      &w.ppp, qexpSpan(w));
 }
 
 void

@@ -1,24 +1,24 @@
 /**
  * @file
- * Pluggable worker pre/post-processor pipeline (DESIGN.md §14),
- * modeled on SwitchML's client-side prepostprocessors (bypass_ppp /
- * cpu_exponent_quantizer_ppp): a per-chunk stage that converts a
+ * The endpoint wire codec (DESIGN.md §14), modeled on SwitchML's
+ * client-side prepostprocessors (bypass_ppp /
+ * cpu_exponent_quantizer_ppp): one per-chunk stage that converts a
  * segment's logical fp32 gradients into wire words before the send
- * and back after the receive.
+ * (PrePostProcessor::encodeSeg) and back after the receive
+ * (decodeSeg).
  *
- * The pre-processing half lives here; the post-processing half is
- * performed by VectorAssembler as segments land (transport.hh), keyed
- * off WireFormat::precision and each chunk's own tag + exponent — so
- * receivers need no processor object and results decoded from the
- * switch take the same path as worker-to-worker traffic.
+ * Three wire precisions:
+ *  - kFp32:  raw fp32 words;
+ *  - kFp16:  two packed IEEE binary16 halves per wire word;
+ *  - kInt32: block-shared-exponent fixed point (ml/quantize). The
+ *            exponent is chosen per segment, or forced by the caller
+ *            when a switch-side aggregation needs all contributors to
+ *            agree (sendVector's seg_qexp span).
  *
- * Three processors:
- *  - BypassPpp: raw fp32 words, bit-identical to the legacy wire;
- *  - Fp16Ppp:   two packed IEEE binary16 halves per wire word;
- *  - Int32Ppp:  block-shared-exponent fixed point (ml/quantize). The
- *               exponent is chosen per segment, or forced by the
- *               caller when a switch-side aggregation needs all
- *               contributors to agree (sendVector's seg_qexp span).
+ * Decoding needs no codec object: VectorAssembler decodes each landing
+ * segment at its WireFormat's precision and the chunk's exponent, so
+ * results from the switch take the same path as worker-to-worker
+ * traffic.
  */
 
 #ifndef ISW_DIST_PIPELINE_HH
@@ -27,7 +27,6 @@
 #include <memory>
 #include <span>
 
-#include "dist/transport.hh"
 #include "ml/quantize.hh"
 #include "net/packet.hh"
 
@@ -36,25 +35,21 @@ namespace isw::dist {
 /** Sentinel for encodeSeg: pick the block exponent automatically. */
 constexpr int kAutoQexp = 127;
 
-/** Deterministic per-processor counters (RunResult::extras). */
-struct PipelineStats
-{
-    std::uint64_t value_clamps = 0; ///< values saturated by the codec
-    std::uint64_t exp_clamps = 0;   ///< exponents clamped to wire range
-};
-
 /**
- * One worker's (or server's) pipeline stage. Stateful only in its
+ * One endpoint's encoder for one wire precision. Stateful only in its
  * counters; give each simulated endpoint its own instance — sharded
  * runs execute workers on different domain threads.
  */
 class PrePostProcessor
 {
   public:
-    virtual ~PrePostProcessor() = default;
+    explicit PrePostProcessor(
+        net::Precision precision = net::Precision::kFp32)
+        : precision_(precision)
+    {}
 
-    /** Wire precision this processor produces. */
-    virtual net::Precision precision() const = 0;
+    /** Wire precision this codec produces. */
+    net::Precision precision() const { return precision_; }
 
     /**
      * Encode one segment's logical floats into @p chunk's wire words
@@ -62,67 +57,29 @@ class PrePostProcessor
      * shared exponent for int32 blocks (kAutoQexp = choose from the
      * data); other precisions ignore it.
      */
-    virtual void encodeSeg(std::span<const float> logical,
-                           net::ChunkPayload &chunk,
-                           int forced_qexp = kAutoQexp) = 0;
-
-    const PipelineStats &stats() const { return stats_; }
-
-  protected:
-    PipelineStats stats_;
-};
-
-/** Raw fp32 words: byte-identical to the pre-pipeline wire. */
-class BypassPpp final : public PrePostProcessor
-{
-  public:
-    net::Precision precision() const override
-    {
-        return net::Precision::kFp32;
-    }
     void encodeSeg(std::span<const float> logical, net::ChunkPayload &chunk,
-                   int forced_qexp) override;
-};
+                   int forced_qexp = kAutoQexp);
 
-/** Two packed IEEE binary16 halves per 32-bit wire word. */
-class Fp16Ppp final : public PrePostProcessor
-{
-  public:
-    net::Precision precision() const override
-    {
-        return net::Precision::kFp16;
-    }
-    void encodeSeg(std::span<const float> logical, net::ChunkPayload &chunk,
-                   int forced_qexp) override;
-};
-
-/**
- * Block-shared-exponent int32 (SwitchML-style exponent quantizer).
- * @p headroom is the number of worst-case contributions the switch
- * will sum into one slot (1 for endpoint-aggregated strategies, H
- * for switch-aggregated ones choosing exponents automatically).
- */
-class Int32Ppp final : public PrePostProcessor
-{
-  public:
-    explicit Int32Ppp(std::uint32_t headroom = 1) : headroom_(headroom) {}
-
-    net::Precision precision() const override
-    {
-        return net::Precision::kInt32;
-    }
-    void encodeSeg(std::span<const float> logical, net::ChunkPayload &chunk,
-                   int forced_qexp) override;
+    /** Values and exponents the int32 encoder clamped (RunResult::
+     *  extras); always 0 at the other precisions. */
+    const ml::QuantStats &stats() const { return stats_; }
 
   private:
-    std::uint32_t headroom_;
+    net::Precision precision_;
+    ml::QuantStats stats_;
 };
 
 /**
- * Build the processor for @p precision (@p headroom as in Int32Ppp).
+ * Decode @p chunk's wire words at @p precision (int32 at the chunk's
+ * exponent) into the front of @p out: every logical float the chunk
+ * carries, but no more than out.size().
  */
+void decodeSeg(net::Precision precision, const net::ChunkPayload &chunk,
+               std::span<float> out);
+
+/** A heap-allocated codec for @p precision. */
 std::unique_ptr<PrePostProcessor>
-makePrePostProcessor(net::Precision precision, std::uint32_t headroom = 1);
+makePrePostProcessor(net::Precision precision);
 
 } // namespace isw::dist
 

@@ -222,7 +222,7 @@ AsyncPsJob::pushGradient(WorkerCtx &w, std::uint64_t seq)
         last_push_[w.index] = w.pending_grad;
     sendVector(*w.host, cluster_.ps->ip(), kPsPort, kWorkerPort, /*tos=*/0,
                tid, w.pending_grad, fmt_, /*seg_base=*/0, /*job=*/0,
-               /*ver_quota=*/0, w.ppp.get());
+               /*ver_quota=*/0, &w.ppp);
     // Guarded until the server's completion defers a done() here, or a
     // newer push supersedes this one.
     WorkerCtx *wp = &w;
@@ -246,7 +246,7 @@ AsyncPsJob::pushGradient(WorkerCtx &w, std::uint64_t seq)
                               kWorkerPort, /*tos=*/0, tid,
                               last_push_[wp->index], fmt_, seg,
                               /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                              wp->ppp.get());
+                              &wp->ppp);
         });
 }
 

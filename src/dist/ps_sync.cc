@@ -26,7 +26,7 @@ SyncPsJob::SyncPsJob(const JobConfig &cfg) : JobBase(cfg)
             s + 1 == k ? full.wire_bytes - base_wire * s : base_wire,
             /*iswitch_plane=*/false, full.precision);
         sh.rx.assign(workers_.size(), VectorAssembler(sh.fmt));
-        sh.ppp = makePipeline();
+        sh.ppp = PrePostProcessor(cfg_.precision);
         sh.rng = sim_->forkRng();
     }
 
@@ -80,7 +80,7 @@ SyncPsJob::sendGradSlice(WorkerCtx &w, std::size_t shard, std::uint64_t round)
     const std::uint64_t tid = encodeXfer(round, w.index);
     sendVector(*w.host, ps->ip(), kPsPort, kWorkerPort, /*tos=*/0, tid,
                workerSlice(w, sh), sh.fmt, /*seg_base=*/0, /*job=*/0,
-               /*ver_quota=*/0, w.ppp.get());
+               /*ver_quota=*/0, &w.ppp);
     // Guarded until the shard's completion defers a done() here.
     WorkerCtx *wp = &w;
     guardTransfer(
@@ -96,7 +96,7 @@ SyncPsJob::sendGradSlice(WorkerCtx &w, std::size_t shard, std::uint64_t round)
             sendVectorSegment(*wp->host, ps->ip(), kPsPort, kWorkerPort,
                               /*tos=*/0, tid, workerSlice(*wp, sh), sh.fmt,
                               seg, /*seg_base=*/0, /*job=*/0,
-                              /*ver_quota=*/0, wp->ppp.get());
+                              /*ver_quota=*/0, &wp->ppp);
         });
 }
 
@@ -165,12 +165,12 @@ void
 SyncPsJob::sendResultSlice(std::size_t shard, WorkerCtx &w,
                            std::uint64_t round)
 {
-    const Shard &sh = shards_[shard];
+    Shard &sh = shards_[shard];
     net::Host *ps = cluster_.ps_shards[shard];
     const std::uint64_t tid = encodeXfer(round, shard, /*flag=*/true);
     sendVector(*ps, w.host->ip(), kWorkerPort, kPsPort, /*tos=*/0, tid,
                sh.sum, sh.fmt, /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-               sh.ppp.get());
+               &sh.ppp);
     // Guarded until the worker's completion defers a done() here. sh.sum
     // is stable until every worker finished this round (a worker missing
     // this slice cannot have scattered the next round's slice); the
@@ -187,11 +187,11 @@ SyncPsJob::sendResultSlice(std::size_t shard, WorkerCtx &w,
                        : std::vector<std::uint64_t>{};
         },
         [this, wp, shard, ps, tid](std::uint64_t seg) {
-            const Shard &sh = shards_[shard];
+            Shard &sh = shards_[shard];
             sendVectorSegment(*ps, wp->host->ip(), kWorkerPort, kPsPort,
                               /*tos=*/0, tid, sh.sum, sh.fmt, seg,
                               /*seg_base=*/0, /*job=*/0, /*ver_quota=*/0,
-                              sh.ppp.get());
+                              &sh.ppp);
         });
 }
 

@@ -48,9 +48,9 @@ class SyncPsJob : public JobBase
         std::size_t received = 0;
         std::uint64_t round = 0; ///< round this shard is collecting
         ml::Vec sum;
-        /** The shard's pipeline stage for result sends (per shard:
+        /** The shard's codec for result sends (per shard:
          *  partitioned fabrics run shards on domain threads). */
-        std::unique_ptr<PrePostProcessor> ppp;
+        PrePostProcessor ppp;
         /** Each shard samples its own rng fork and publishes its
          *  round's weight-update share in `wu` (single writer); workers
          *  take the max across shards when splitting the round. */

@@ -153,7 +153,7 @@ JobBase::initWorkers()
                                 /*weight_seed=*/cfg_.seed * 7919 + 17,
                                 /*env_seed=*/cfg_.seed * 104729 + 31 + i);
         w.rng = sim_->forkRng();
-        w.ppp = makePipeline();
+        w.ppp = PrePostProcessor(cfg_.precision);
         publishWorker(w);
     }
 }
@@ -667,10 +667,10 @@ JobBase::collectExtras(RunResult &res) const
 
     // Quantization: codec clamps summed over the workers, integer-
     // datapath counters over every aggregating switch. All 0 on fp32.
-    PipelineStats p;
+    ml::QuantStats p;
     for (const WorkerCtx &w : workers_) {
-        p.value_clamps += w.ppp->stats().value_clamps;
-        p.exp_clamps += w.ppp->stats().exp_clamps;
+        p.value_clamps += w.ppp.stats().value_clamps;
+        p.exp_clamps += w.ppp.stats().exp_clamps;
     }
     put("quant_value_clamps", p.value_clamps);
     put("quant_exp_clamps", p.exp_clamps);

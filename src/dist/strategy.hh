@@ -240,12 +240,11 @@ class JobBase
         IterationMetrics metrics;
         VectorAssembler rx;
         /**
-         * This worker's pipeline stage (always present; BypassPpp for
-         * fp32). Per worker, not per job: sharded runs execute
-         * workers on different domain threads and the stage keeps
-         * mutable counters.
+         * This worker's codec, at the job's precision. Per worker, not
+         * per job: sharded runs execute workers on different domain
+         * threads and the codec keeps mutable counters.
          */
-        std::unique_ptr<PrePostProcessor> ppp;
+        PrePostProcessor ppp;
         ml::Vec pending_grad;     ///< gradient awaiting transmission
         sim::TimeNs lgc_end = 0;  ///< when the last LGC stage finished
         std::uint64_t round = 0;  ///< sync round / iteration index
@@ -302,13 +301,6 @@ class JobBase
      */
     WireFormat gradientWire(bool iswitch_plane,
                             net::Precision precision) const;
-
-    /** Build a pipeline stage for this job's configured precision. */
-    std::unique_ptr<PrePostProcessor>
-    makePipeline(std::uint32_t headroom = 1) const
-    {
-        return makePrePostProcessor(cfg_.precision, headroom);
-    }
 
     /** Can frames be lost (link loss or an attached fault plan)? */
     bool lossyEnv() const;

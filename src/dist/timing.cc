@@ -108,13 +108,4 @@ profileFor(rl::Algo algo)
     throw std::logic_error("profileFor: unknown algorithm");
 }
 
-ComputeProfile
-scaled(const ComputeProfile &p, double scale)
-{
-    ComputeProfile out = p;
-    for (auto &m : out.mean)
-        m = static_cast<sim::TimeNs>(static_cast<double>(m) * scale);
-    return out;
-}
-
 } // namespace isw::dist

@@ -69,12 +69,6 @@ struct ComputeProfile
  */
 ComputeProfile profileFor(rl::Algo algo);
 
-/**
- * A uniformly scaled copy of @p p (scale < 1 shrinks compute; used by
- * ablation benches exploring compute/communication ratios).
- */
-ComputeProfile scaled(const ComputeProfile &p, double scale);
-
 } // namespace isw::dist
 
 #endif // ISW_DIST_TIMING_HH

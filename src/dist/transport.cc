@@ -3,18 +3,15 @@
 #include <algorithm>
 
 #include "dist/pipeline.hh"
-#include "ml/quantize.hh"
-#include "net/packet_pool.hh"
 
 namespace isw::dist {
 
 namespace {
 
 /**
- * Fill one chunk's wire words from its logical sub-span: the legacy
- * raw-fp32 copy when @p ppp is null (bit-identical to the
- * pre-pipeline transport), the processor's encode otherwise. Padding
- * segments (beyond the logical data) stay empty either way.
+ * Encode one chunk's wire words from its logical sub-span through
+ * @p ppp, or through an fp32 codec when @p ppp is null. Padding
+ * segments (beyond the logical data) stay empty and skip the codec.
  */
 void
 fillChunk(net::ChunkPayload &chunk, std::span<const float> logical,
@@ -27,15 +24,10 @@ fillChunk(net::ChunkPayload &chunk, std::span<const float> logical,
         return;
     const std::uint64_t end =
         std::min<std::uint64_t>(begin + fps, logical.size());
-    const auto part = logical.subspan(begin, end - begin);
-    if (ppp != nullptr) {
-        const int forced =
-            seg < seg_qexp.size() ? seg_qexp[seg] : kAutoQexp;
-        ppp->encodeSeg(part, chunk, forced);
-        return;
-    }
-    chunk.values = net::PacketPool::local().acquireFloats(part.size());
-    chunk.values.assign(part.begin(), part.end());
+    PrePostProcessor fp32;
+    (ppp != nullptr ? *ppp : fp32)
+        .encodeSeg(logical.subspan(begin, end - begin), chunk,
+                   seg < seg_qexp.size() ? seg_qexp[seg] : kAutoQexp);
 }
 
 } // namespace
@@ -224,34 +216,9 @@ VectorAssembler::offer(const net::ChunkPayload &chunk, std::uint64_t seg_base)
     while (first_missing_ < seen_.size() && seen_[first_missing_])
         ++first_missing_; // advance the contiguous-prefix watermark
     const std::uint64_t begin = seg * fmt_.floatsPerSeg();
-    const std::size_t avail =
-        begin < data_.size() ? data_.size() - begin : 0;
-    switch (fmt_.precision) {
-      case net::Precision::kFp16: {
-        // Post-process: unpack half-pair wire words to fp32.
-        const std::size_t n =
-            std::min<std::size_t>(avail, chunk.values.size() * 2);
-        if (n != 0)
-            ml::unpackHalfWords(chunk.values.data(), n,
-                                data_.data() + begin);
-        break;
-      }
-      case net::Precision::kInt32: {
-        // Post-process: decode int32 words at the chunk's exponent.
-        const std::size_t n =
-            std::min<std::size_t>(avail, chunk.values.size());
-        if (n != 0)
-            ml::decodeBlockInt32(chunk.values.data(), n, chunk.qexp,
-                                 data_.data() + begin);
-        break;
-      }
-      default:
-        for (std::size_t i = 0;
-             i < chunk.values.size() && begin + i < data_.size(); ++i) {
-            data_[begin + i] = chunk.values[i];
-        }
-        break;
-    }
+    if (begin < data_.size())
+        decodeSeg(fmt_.precision, chunk,
+                  std::span<float>(data_).subspan(begin));
     return complete();
 }
 

@@ -133,14 +133,13 @@ decodeXfer(std::uint64_t id)
  * @param ver_quota When nonzero, each chunk carries the slot-reuse
  *        version bit ((seg_base+seg)/ver_quota)&1 so a bounded switch
  *        pool can tell apart successive occupants of one slot.
- * @param ppp Optional pre-processor that encodes each segment's
- *        logical floats into wire words (pipeline.hh). nullptr runs
- *        the legacy raw-fp32 copy, bit for bit.
+ * @param ppp The sender's codec, which encodes each segment's logical
+ *        floats into wire words (pipeline.hh). nullptr encodes fp32.
  * @param seg_qexp Optional per-segment forced shared exponents
  *        (indexed by segment offset within @p fmt), used by
  *        switch-aggregated int32 runs so every contributor encodes a
  *        segment at the agreed exponent. Segments beyond the span
- *        fall back to the processor's auto choice.
+ *        fall back to the codec's auto choice.
  */
 void sendVector(net::Host &host, net::Ipv4Addr dst_ip,
                 std::uint16_t dst_port, std::uint16_t src_port,
@@ -288,10 +287,10 @@ class RetxTimer
 
 /**
  * Reassembles one vector from its segment packets. The receive side
- * of the pipeline lives here: quantized wire words (fmt.precision)
- * are decoded back to fp32 as each segment lands, using the chunk's
- * own precision exponent — so every strategy gets the post-processor
- * stage for free (DESIGN.md §14).
+ * of the codec runs here: each landing segment's wire words are
+ * decoded (decodeSeg, pipeline.hh) at the format's precision and the
+ * chunk's exponent — so every strategy gets the post-processor stage
+ * for free (DESIGN.md §14).
  */
 class VectorAssembler
 {

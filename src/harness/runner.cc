@@ -61,15 +61,6 @@ listJson(const std::vector<T> &items, Fn entry)
 
 } // namespace
 
-dist::JobConfig
-ExperimentSpec::normalizedConfig() const
-{
-    dist::JobConfig cfg = config;
-    if (seed != 0)
-        cfg.seed = seed;
-    return cfg;
-}
-
 SpecKey
 SpecKey::of(const dist::JobConfig &cfg)
 {
@@ -95,15 +86,13 @@ Runner::~Runner() = default;
 std::pair<std::shared_ptr<Runner::Entry>, bool>
 Runner::lookup(const ExperimentSpec &spec)
 {
-    SpecKey key = SpecKey::of(spec.normalizedConfig());
+    SpecKey key = SpecKey::of(spec.config);
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(key);
     if (it != cache_.end())
         return {it->second, false};
     auto entry = std::make_shared<Entry>();
     entry->spec = spec;
-    entry->spec.config = spec.normalizedConfig();
-    entry->spec.seed = 0;
     entry->order = next_order_++;
     cache_.emplace(std::move(key), entry);
     return {entry, true};
@@ -120,7 +109,6 @@ Runner::execute(Entry &e)
         // interleave with another's mid-line, and each line says which
         // experiment produced it.
         sim::Logger &logger = job->simulation().logger();
-        logger.setLevel(opts_.log_level);
         logger.setSink([this, name = e.spec.name](const std::string &line) {
             std::lock_guard<std::mutex> lock(log_mu_);
             if (opts_.log_sink)
@@ -170,8 +158,8 @@ Runner::run(const ExperimentSpec &spec)
 std::vector<dist::RunResult>
 Runner::runAll(const std::vector<ExperimentSpec> &specs)
 {
-    // Dedup before submission: one cache entry per unique normalized
-    // config; only fresh entries become work items.
+    // Dedup before submission: one cache entry per unique config; only
+    // fresh entries become work items.
     std::vector<std::shared_ptr<Entry>> order;
     std::vector<std::shared_ptr<Entry>> work;
     order.reserve(specs.size());

@@ -38,15 +38,11 @@ struct ExperimentSpec
 {
     /** Display/report name, e.g. "timing/DQN/PS/w4". */
     std::string name;
-    /** The complete run description (includes its own seed). */
+    /** The complete run description (includes its own seed), and so
+     *  the run's identity. */
     dist::JobConfig config;
-    /** Convenience seed override; 0 keeps config.seed. */
-    std::uint64_t seed = 0;
     /** Free-form labels carried into the JSON report. */
     std::vector<std::string> tags;
-
-    /** config with the seed override applied (the run identity). */
-    dist::JobConfig normalizedConfig() const;
 };
 
 /**
@@ -74,10 +70,9 @@ struct RunnerOptions
      * environment variable, falling back to hardware concurrency.
      */
     std::size_t jobs = 0;
-    /** Log level installed on every job's Simulation logger. */
-    sim::LogLevel log_level = sim::LogLevel::kWarn;
     /**
-     * Optional destination for job log lines. Lines arrive serialized
+     * Optional destination for job log lines (each job logs at its
+     * Simulation's default level, kWarn). Lines arrive serialized
      * (one writer at a time) and tagged with the spec name; default is
      * stderr.
      */
@@ -88,7 +83,7 @@ struct RunnerOptions
  * Executes ExperimentSpecs, each in its own isolated Simulation.
  *
  * Results are memoized across run()/runAll() calls: submitting a spec
- * whose normalized config was already executed returns the cached
+ * whose config was already executed returns the cached
  * RunResult without re-running, and duplicate specs inside one batch
  * are deduplicated *before* submission so shared timing runs execute
  * once. Not copyable; share one Runner per bench process.

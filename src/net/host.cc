@@ -3,22 +3,6 @@
 namespace isw::net {
 
 void
-Host::sendTo(Ipv4Addr dst_ip, std::uint16_t dst_port, std::uint16_t src_port,
-             std::uint8_t tos, Payload payload)
-{
-    Packet pkt;
-    pkt.eth.src = mac_;
-    pkt.ip.src = ip_;
-    pkt.ip.dst = dst_ip;
-    pkt.ip.tos = tos;
-    pkt.udp.src_port = src_port;
-    pkt.udp.dst_port = dst_port;
-    pkt.payload = std::move(payload);
-    ++tx_frames_;
-    send(makePacket(std::move(pkt)));
-}
-
-void
 Host::deliver(PacketPtr pkt, std::size_t in_port)
 {
     (void)in_port;

@@ -42,11 +42,18 @@ class Host : public Node
     void send(PacketPtr pkt) { sendOut(active_uplink_, std::move(pkt)); }
 
     /**
-     * Convenience builder: stamp this host's addresses as source and
-     * send a UDP packet.
+     * Send a UDP datagram from this host's addresses (makeUdpFrame):
+     * @p payload is any Payload alternative, moved into the frame.
      */
-    void sendTo(Ipv4Addr dst_ip, std::uint16_t dst_port,
-                std::uint16_t src_port, std::uint8_t tos, Payload payload);
+    template <class P>
+    void
+    sendTo(Ipv4Addr dst_ip, std::uint16_t dst_port, std::uint16_t src_port,
+           std::uint8_t tos, P &&payload)
+    {
+        ++tx_frames_;
+        send(makeUdpFrame(mac_, ip_, src_port, dst_ip, dst_port, tos,
+                          std::forward<P>(payload)));
+    }
 
     void deliver(PacketPtr pkt, std::size_t in_port) override;
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -197,6 +198,29 @@ using PacketPtr = std::shared_ptr<const Packet>;
 
 /** Build a shared immutable packet. */
 PacketPtr makePacket(Packet pkt);
+
+/**
+ * Build the frame of one UDP datagram from @p src_mac and
+ * @p src_ip:@p src_port to @p dst_ip:@p dst_port, ToS @p tos: every
+ * frame a host or a switch originates. @p payload (any Payload
+ * alternative) is forwarded straight into the frame.
+ */
+template <class P>
+PacketPtr
+makeUdpFrame(MacAddr src_mac, Ipv4Addr src_ip, std::uint16_t src_port,
+             Ipv4Addr dst_ip, std::uint16_t dst_port, std::uint8_t tos,
+             P &&payload)
+{
+    Packet pkt;
+    pkt.eth.src = src_mac;
+    pkt.ip.src = src_ip;
+    pkt.ip.dst = dst_ip;
+    pkt.ip.tos = tos;
+    pkt.udp.src_port = src_port;
+    pkt.udp.dst_port = dst_port;
+    pkt.payload = std::forward<P>(payload);
+    return makePacket(std::move(pkt));
+}
 
 /** Maximum float32 slots per chunk on the iSwitch data plane. */
 constexpr std::size_t

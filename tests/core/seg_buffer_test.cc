@@ -25,8 +25,8 @@ chunk(std::uint64_t seg, std::vector<float> vals)
 TEST(SegBufferPool, AccumulatesElementwise)
 {
     SegBufferPool pool;
-    EXPECT_FALSE(pool.accumulate(chunk(0, {1, 2, 3}), 2));
-    EXPECT_TRUE(pool.accumulate(chunk(0, {10, 20, 30}), 2));
+    EXPECT_NE(pool.offer(chunk(0, {1, 2, 3}), 2), SlotOutcome::kCompleted);
+    EXPECT_EQ(pool.offer(chunk(0, {10, 20, 30}), 2), SlotOutcome::kCompleted);
     SegState st = pool.harvest(0);
     EXPECT_EQ(st.count, 2u);
     ASSERT_EQ(st.acc.size(), 3u);
@@ -38,8 +38,8 @@ TEST(SegBufferPool, AccumulatesElementwise)
 TEST(SegBufferPool, SegmentsAreIndependent)
 {
     SegBufferPool pool;
-    pool.accumulate(chunk(1, {1}), 3);
-    pool.accumulate(chunk(2, {5}), 3);
+    pool.offer(chunk(1, {1}), 3);
+    pool.offer(chunk(2, {5}), 3);
     EXPECT_EQ(pool.count(1), 1u);
     EXPECT_EQ(pool.count(2), 1u);
     EXPECT_EQ(pool.count(3), 0u);
@@ -49,7 +49,7 @@ TEST(SegBufferPool, SegmentsAreIndependent)
 TEST(SegBufferPool, HarvestRemovesSegment)
 {
     SegBufferPool pool;
-    pool.accumulate(chunk(7, {1}), 1);
+    pool.offer(chunk(7, {1}), 1);
     pool.harvest(7);
     EXPECT_FALSE(pool.has(7));
     EXPECT_THROW(pool.harvest(7), std::out_of_range);
@@ -58,14 +58,14 @@ TEST(SegBufferPool, HarvestRemovesSegment)
 TEST(SegBufferPool, ThresholdOneEmitsImmediately)
 {
     SegBufferPool pool;
-    EXPECT_TRUE(pool.accumulate(chunk(0, {1}), 1));
+    EXPECT_EQ(pool.offer(chunk(0, {1}), 1), SlotOutcome::kCompleted);
 }
 
 TEST(SegBufferPool, MixedPayloadSizesGrowBuffer)
 {
     SegBufferPool pool;
-    pool.accumulate(chunk(0, {1, 1}), 2);
-    pool.accumulate(chunk(0, {1, 1, 1, 1}), 2);
+    pool.offer(chunk(0, {1, 1}), 2);
+    pool.offer(chunk(0, {1, 1, 1, 1}), 2);
     SegState st = pool.harvest(0);
     ASSERT_EQ(st.acc.size(), 4u);
     EXPECT_FLOAT_EQ(st.acc[0], 2.0f);
@@ -77,16 +77,16 @@ TEST(SegBufferPool, WireFloatsTracksMax)
     SegBufferPool pool;
     auto c1 = chunk(0, {1});
     c1.wire_floats = 100;
-    pool.accumulate(c1, 2);
-    pool.accumulate(chunk(0, {1}), 2);
+    pool.offer(c1, 2);
+    pool.offer(chunk(0, {1}), 2);
     EXPECT_EQ(pool.harvest(0).wire_floats, 100u);
 }
 
 TEST(SegBufferPool, ClearDropsEverything)
 {
     SegBufferPool pool;
-    pool.accumulate(chunk(0, {1}), 5);
-    pool.accumulate(chunk(1, {1}), 5);
+    pool.offer(chunk(0, {1}), 5);
+    pool.offer(chunk(1, {1}), 5);
     pool.clear();
     EXPECT_EQ(pool.activeSegments(), 0u);
 }
@@ -95,9 +95,9 @@ TEST(SegBufferPool, PeakActiveSegmentsTracksPressure)
 {
     SegBufferPool pool;
     for (std::uint64_t s = 0; s < 10; ++s)
-        pool.accumulate(chunk(s, {1}), 2);
+        pool.offer(chunk(s, {1}), 2);
     for (std::uint64_t s = 0; s < 10; ++s) {
-        pool.accumulate(chunk(s, {1}), 2);
+        pool.offer(chunk(s, {1}), 2);
         pool.harvest(s);
     }
     EXPECT_EQ(pool.peakActiveSegments(), 10u);
@@ -107,10 +107,14 @@ TEST(SegBufferPool, PeakActiveSegmentsTracksPressure)
 TEST(SegBufferPool, DedupeIgnoresRepeatedSource)
 {
     SegBufferPool pool;
-    EXPECT_FALSE(pool.accumulate(chunk(0, {1, 1}), 3, /*src=*/7, true));
-    EXPECT_FALSE(pool.accumulate(chunk(0, {1, 1}), 3, /*src=*/7, true));
-    EXPECT_FALSE(pool.accumulate(chunk(0, {1, 1}), 3, /*src=*/8, true));
-    EXPECT_TRUE(pool.accumulate(chunk(0, {1, 1}), 3, /*src=*/9, true));
+    EXPECT_NE(pool.offer(chunk(0, {1, 1}), 3, /*src=*/7, true),
+              SlotOutcome::kCompleted);
+    EXPECT_NE(pool.offer(chunk(0, {1, 1}), 3, /*src=*/7, true),
+              SlotOutcome::kCompleted);
+    EXPECT_NE(pool.offer(chunk(0, {1, 1}), 3, /*src=*/8, true),
+              SlotOutcome::kCompleted);
+    EXPECT_EQ(pool.offer(chunk(0, {1, 1}), 3, /*src=*/9, true),
+              SlotOutcome::kCompleted);
     SegState st = pool.harvest(0);
     EXPECT_EQ(st.count, 3u);
     EXPECT_FLOAT_EQ(st.acc[0], 3.0f);
@@ -153,10 +157,11 @@ TEST(SegBufferPool, RecycledSlotStartsClean)
     SegBufferPool pool;
     auto c = chunk(0, {5, 5, 5});
     c.wire_floats = 99;
-    pool.accumulate(c, 1, /*src=*/1, true);
+    pool.offer(c, 1, /*src=*/1, true);
     EXPECT_EQ(pool.harvest(0).wire_floats, 99u);
 
-    EXPECT_FALSE(pool.accumulate(chunk(1, {2}), 2, /*src=*/1, true));
+    EXPECT_NE(pool.offer(chunk(1, {2}), 2, /*src=*/1, true),
+              SlotOutcome::kCompleted);
     EXPECT_EQ(pool.count(1), 1u);
     SegState st = pool.harvest(1);
     EXPECT_EQ(st.wire_floats, 1u);
@@ -173,8 +178,8 @@ TEST(SegBufferPool, SparseStripedSegmentsChurn)
     const std::uint64_t kRounds = 2000, kStride = 64;
     for (std::uint64_t r = 0; r < kRounds; ++r) {
         const std::uint64_t seg = r * kStride + (r % 7);
-        EXPECT_FALSE(pool.accumulate(chunk(seg, {1}), 2));
-        EXPECT_TRUE(pool.accumulate(chunk(seg, {1}), 2));
+        EXPECT_NE(pool.offer(chunk(seg, {1}), 2), SlotOutcome::kCompleted);
+        EXPECT_EQ(pool.offer(chunk(seg, {1}), 2), SlotOutcome::kCompleted);
         EXPECT_TRUE(pool.has(seg));
         EXPECT_EQ(pool.count(seg), 2u);
         SegState st = pool.harvest(seg);
@@ -189,7 +194,7 @@ TEST(SegBufferPool, ManySimultaneousSegmentsProbeCorrectly)
     SegBufferPool pool;
     const std::uint64_t n = 500;
     for (std::uint64_t s = 0; s < n; ++s)
-        pool.accumulate(chunk(s * 1000003, {float(s)}), 2);
+        pool.offer(chunk(s * 1000003, {float(s)}), 2);
     EXPECT_EQ(pool.activeSegments(), n);
     // Erase every third to force backward-shift repair, then verify
     // the survivors are all still findable with the right contents.
@@ -209,11 +214,11 @@ TEST(SegBufferPool, ManySimultaneousSegmentsProbeCorrectly)
 TEST(SegBufferPool, ClearThenReuse)
 {
     SegBufferPool pool;
-    pool.accumulate(chunk(3, {1}), 5);
+    pool.offer(chunk(3, {1}), 5);
     pool.clear();
     EXPECT_FALSE(pool.has(3));
     EXPECT_EQ(pool.count(3), 0u);
-    EXPECT_TRUE(pool.accumulate(chunk(3, {4}), 1));
+    EXPECT_EQ(pool.offer(chunk(3, {4}), 1), SlotOutcome::kCompleted);
     EXPECT_FLOAT_EQ(pool.harvest(3).acc[0], 4.0f);
 }
 
@@ -432,8 +437,10 @@ TEST(QuantSlotPool, Int32AccumulatesExactIntegers)
 {
     SegBufferPool pool;
     const int e = 4;
-    EXPECT_FALSE(pool.accumulate(int32Chunk(0, {0.5f, -0.25f}, e), 2));
-    EXPECT_TRUE(pool.accumulate(int32Chunk(0, {0.25f, 0.25f}, e), 2));
+    EXPECT_NE(pool.offer(int32Chunk(0, {0.5f, -0.25f}, e), 2),
+              SlotOutcome::kCompleted);
+    EXPECT_EQ(pool.offer(int32Chunk(0, {0.25f, 0.25f}, e), 2),
+              SlotOutcome::kCompleted);
     SegState st = pool.harvest(0);
     EXPECT_EQ(st.prec, net::Precision::kInt32);
     EXPECT_EQ(st.qexp, e);
@@ -457,8 +464,8 @@ TEST(QuantSlotPool, Fp16AccumulatesHalfwise)
     b.values.resize(1);
     ml::packHalfWords(va, 2, a.values.data());
     ml::packHalfWords(vb, 2, b.values.data());
-    pool.accumulate(a, 2);
-    EXPECT_TRUE(pool.accumulate(b, 2));
+    pool.offer(a, 2);
+    EXPECT_EQ(pool.offer(b, 2), SlotOutcome::kCompleted);
     SegState st = pool.harvest(0);
     EXPECT_EQ(st.prec, net::Precision::kFp16);
     float out[2];
@@ -489,8 +496,8 @@ TEST(QuantSlotPool, Int32ArrivalOrderBitIdentical)
         SegBufferPool pool;
         bool done = false;
         for (std::uint32_t w : order)
-            done = pool.accumulate(int32Chunk(9, contribs[w], e), h,
-                                   /*src=*/w, true);
+            done = pool.offer(int32Chunk(9, contribs[w], e), h,
+                              /*src=*/w, true) == SlotOutcome::kCompleted;
         EXPECT_TRUE(done);
         const SegState st = pool.harvest(9);
         std::vector<std::int32_t> bits(st.acc.size());
@@ -563,8 +570,8 @@ TEST(QuantSlotPool, MixedExponentsRescaleTowardMaxAndCount)
     SegBufferPool pool;
     // First contribution at e=4, second at e=6: the slot rescales its
     // accumulator up to 6 (max is order-independent) and counts it.
-    EXPECT_FALSE(pool.accumulate(int32Chunk(0, {0.5f}, 4), 2));
-    EXPECT_TRUE(pool.accumulate(int32Chunk(0, {0.5f}, 6), 2));
+    EXPECT_NE(pool.offer(int32Chunk(0, {0.5f}, 4), 2), SlotOutcome::kCompleted);
+    EXPECT_EQ(pool.offer(int32Chunk(0, {0.5f}, 6), 2), SlotOutcome::kCompleted);
     SegState st = pool.harvest(0);
     EXPECT_EQ(st.qexp, 6);
     EXPECT_EQ(pool.totals().exp_rescales, 1u);
@@ -574,8 +581,8 @@ TEST(QuantSlotPool, MixedExponentsRescaleTowardMaxAndCount)
 
     // Lower-exponent latecomer: incoming rescales up, slot unchanged.
     SegBufferPool pool2;
-    pool2.accumulate(int32Chunk(0, {0.5f}, 6), 2);
-    pool2.accumulate(int32Chunk(0, {0.5f}, 4), 2);
+    pool2.offer(int32Chunk(0, {0.5f}, 6), 2);
+    pool2.offer(int32Chunk(0, {0.5f}, 4), 2);
     SegState st2 = pool2.harvest(0);
     EXPECT_EQ(st2.qexp, 6);
     EXPECT_EQ(pool2.totals().exp_rescales, 1u);
@@ -588,9 +595,9 @@ TEST(QuantSlotPool, OverflowClampsAtRailAndCounts)
     SegBufferPool pool;
     // 0.9 at e=0 encodes as ~0.45 * 2^31; the third contribution
     // pushes the integer sum past the rail and must saturate, not wrap.
-    pool.accumulate(int32Chunk(0, {0.9f}, 0), 3);
-    pool.accumulate(int32Chunk(0, {0.9f}, 0), 3);
-    EXPECT_TRUE(pool.accumulate(int32Chunk(0, {0.9f}, 0), 3));
+    pool.offer(int32Chunk(0, {0.9f}, 0), 3);
+    pool.offer(int32Chunk(0, {0.9f}, 0), 3);
+    EXPECT_EQ(pool.offer(int32Chunk(0, {0.9f}, 0), 3), SlotOutcome::kCompleted);
     SegState st = pool.harvest(0);
     EXPECT_EQ(std::bit_cast<std::int32_t>(st.acc[0]), ml::kQuantMax);
     EXPECT_EQ(pool.totals().overflow_clamps, 1u);

@@ -1,19 +1,22 @@
-/** @file Pre/post-processor pipeline (DESIGN.md §14): each precision's
- *  encode path must round-trip through VectorAssembler's decode path,
- *  the fp32 bypass must be bit-identical to the legacy wire fill, and
- *  every strategy must finish a short job at every precision with the
- *  quant counters exported (fp32 exporting none). */
+/** @file The wire codec (DESIGN.md §14): each precision's encode path
+ *  must round-trip through VectorAssembler's decode path, fp32 must
+ *  carry the raw words, and every strategy must finish a short job at
+ *  every precision with the quant counters exported (0 when nothing
+ *  clamps) and the results its recorded digest pins. */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <sstream>
 
 #include "dist/pipeline.hh"
 #include "dist/strategy.hh"
 #include "dist/transport.hh"
+#include "harness/runner.hh"
 #include "matrix_cells.hh"
 #include "ml/quantize.hh"
+#include "ml/serialize.hh"
 #include "sim/random.hh"
 
 namespace isw::dist {
@@ -72,7 +75,7 @@ TEST(PipelineBypass, BitIdenticalRoundTripAndLegacyStamps)
 {
     const std::vector<float> logical = randomGrads(1000);
     const WireFormat fmt = WireFormat::forVector(logical.size(), 0, false);
-    BypassPpp ppp;
+    PrePostProcessor ppp(net::Precision::kFp32);
     VectorAssembler rx(fmt);
 
     const std::uint64_t fps = fmt.floatsPerSeg();
@@ -83,8 +86,8 @@ TEST(PipelineBypass, BitIdenticalRoundTripAndLegacyStamps)
         net::ChunkPayload c;
         c.seg = seg;
         ppp.encodeSeg(part, c, kAutoQexp);
-        // Legacy wire contract: raw fp32 words, (kFp32, qexp 0) stamps
-        // so the packed Seg word is bit-identical to the old format.
+        // fp32 wire contract: raw fp32 words, (kFp32, qexp 0) stamps
+        // so the packed Seg word is the paper's bare segment index.
         EXPECT_EQ(c.prec, net::Precision::kFp32);
         EXPECT_EQ(c.qexp, 0);
         ASSERT_EQ(c.values.size(), part.size());
@@ -109,7 +112,7 @@ TEST(PipelineFp16, OddTailRoundTripsThroughAssembler)
     const WireFormat f32 = WireFormat::forVector(logical.size(), 0, false);
     EXPECT_LT(fmt.segments(), f32.segments());
 
-    Fp16Ppp ppp;
+    PrePostProcessor ppp(net::Precision::kFp16);
     VectorAssembler rx(fmt);
     sendThrough(ppp, logical, fmt, rx);
     ASSERT_TRUE(rx.complete());
@@ -131,7 +134,7 @@ TEST(PipelineInt32, AutoExponentMatchesReferenceCodec)
     const std::vector<float> logical = randomGrads(700);
     const WireFormat fmt = WireFormat::forVector(logical.size(), 0, false,
                                                  net::Precision::kInt32);
-    Int32Ppp ppp(/*headroom=*/1);
+    PrePostProcessor ppp(net::Precision::kInt32);
     VectorAssembler rx(fmt);
     const std::vector<std::int8_t> exps = sendThrough(ppp, logical, fmt, rx);
     ASSERT_TRUE(rx.complete());
@@ -161,7 +164,7 @@ TEST(PipelineInt32, ForcedExponentIsStampedAndDecodedWith)
     const WireFormat fmt = WireFormat::forVector(logical.size(), 0, false,
                                                  net::Precision::kInt32);
     ASSERT_EQ(fmt.segments(), 1u);
-    Int32Ppp ppp;
+    PrePostProcessor ppp(net::Precision::kInt32);
     VectorAssembler rx(fmt);
     const std::vector<std::int8_t> forced{7};
     sendThrough(ppp, logical, fmt, rx, forced);
@@ -182,13 +185,46 @@ TEST(PipelineInt32, TooSmallForcedExponentCountsValueClamps)
     std::vector<float> logical(8, 0.9f);
     net::ChunkPayload c;
     c.seg = 0;
-    Int32Ppp ppp;
+    PrePostProcessor ppp(net::Precision::kInt32);
     ppp.encodeSeg(logical, c, /*forced_qexp=*/-10);
     EXPECT_EQ(c.qexp, -10);
     EXPECT_EQ(ppp.stats().value_clamps, logical.size());
     for (float w : c.values)
         EXPECT_EQ(std::bit_cast<std::int32_t>(w), ml::kQuantMax);
 }
+
+/**
+ * Results golden of one run: its resultToJson dump (every deterministic
+ * result field: iterations, simulated timing, rewards, breakdown,
+ * extras, curve) plus the FNV-1a of worker 0's final weight bits.
+ */
+std::string
+resultDump(JobBase &job, const RunResult &res)
+{
+    ml::Vec w;
+    job.workerAgent(0).getWeights(w);
+    std::ostringstream o;
+    o << harness::resultToJson(res).dump(2) << "\nworker0_weights "
+      << w.size() << " fnv1a 0x" << std::hex
+      << ml::fnv1a(w.data(), w.size() * sizeof(float)) << '\n';
+    return o.str();
+}
+
+/**
+ * FNV-1a of resultDump per matrix cell (MatrixCell order) and
+ * precision (fp32, fp16, int32), recorded before the codec became one
+ * class. No perfbench workload runs a quantized wire, so these are
+ * what pin the fp16 and int32 encode and decode paths end to end: a
+ * codec change that moves one bit of any run fails here.
+ */
+constexpr std::uint64_t kMatrixDigests[6][3] = {
+    {0xf6bc49d5e7193440, 0x7acfab4e3780e080, 0x0b4b48810cd6f930}, // SyncPs
+    {0xb7da8e7ca205f5ff, 0xf50e568b72f90520, 0x76ee9d285e13ff1f}, // SyncAr
+    {0x9c3e600001cc9609, 0x01e68a3e374bb88a, 0x6621cbcc0d5dbe91}, // SyncIsw
+    {0x2a7ea9adc247da17, 0x1cf0c8c0569aa0fe, 0x9402f958736c2758}, // AsyncPs
+    {0xe9aaede81c70d444, 0xcd9272eee6c669cf, 0x2305e22210b0480f}, // AsyncIsw
+    {0x926efda2e9dad01e, 0x4b56fe1d1a8453e4, 0x6259093ac2339ec5}, // ShardedPs
+};
 
 /** Every strategy must finish a short run at every precision. Normal
  *  PPO gradients never saturate a codec or the switch's integer
@@ -200,6 +236,7 @@ class PipelineMatrix : public ::testing::TestWithParam<MatrixCell>
 
 TEST_P(PipelineMatrix, AllPrecisionsTrainToCompletion)
 {
+    std::size_t p = 0; // column of kMatrixDigests
     for (auto prec : {net::Precision::kFp32, net::Precision::kFp16,
                       net::Precision::kInt32}) {
         JobConfig cfg = JobConfig::forBenchmark(
@@ -209,17 +246,27 @@ TEST_P(PipelineMatrix, AllPrecisionsTrainToCompletion)
         cfg.stop.max_iterations = 4;
         cfg.curve_every = 4;
         cfg.precision = prec;
-        const RunResult res = runJob(cfg);
-        ASSERT_TRUE(res.ok())
-            << strategyName(cfg.strategy) << "/" << net::precisionName(prec)
-            << ": " << res.error;
+        const auto job = makeJob(cfg);
+        const RunResult res = job->run();
+        const std::string run = std::string(strategyName(cfg.strategy)) +
+                                "/" + net::precisionName(prec);
+        ASSERT_TRUE(res.ok()) << run << ": " << res.error;
         EXPECT_GE(res.iterations, 4u);
         for (const char *key :
              {"quant_value_clamps", "quant_exp_clamps",
               "switch_overflow_clamps", "switch_exp_rescales"})
-            EXPECT_EQ(res.extras.at(key), 0.0)
-                << strategyName(cfg.strategy) << "/"
-                << net::precisionName(prec) << ": " << key;
+            EXPECT_EQ(res.extras.at(key), 0.0) << run << ": " << key;
+
+        const std::string dump = resultDump(*job, res);
+        const std::uint64_t got = ml::fnv1a(dump.data(), dump.size());
+        const std::uint64_t want =
+            kMatrixDigests[static_cast<int>(GetParam())][p++];
+        if (got != want)
+            ADD_FAILURE() << run << " (" << psShardsOf(GetParam())
+                          << " PS shards): results digest 0x" << std::hex
+                          << got << ", recorded 0x" << want << std::dec
+                          << "\n"
+                          << dump;
     }
 }
 

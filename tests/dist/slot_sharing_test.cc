@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "dist/multijob.hh"
 #include "dist/strategy.hh"
 #include "harness/runner.hh"
@@ -421,6 +423,65 @@ TEST(PerJobKnobs, SetHAtHaPrimaryPinsTheBackup)
     c.backup->adminJoin(net::Ipv4Addr(10, 0, 0, 99), kWorkerPort,
                         core::MemberType::kWorker);
     EXPECT_EQ(c.backup->accelerator().threshold(0), 2u);
+}
+
+/** A switch's membership rows and the H of jobs 0-3. */
+std::string
+membershipDump(core::ProgrammableSwitch &sw)
+{
+    std::ostringstream o;
+    for (const core::Member &m : sw.controlPlane().table().members())
+        o << "member " << m.id << ' ' << m.ip.str() << ':' << m.udp_port
+          << " type " << static_cast<int>(m.type) << " job "
+          << static_cast<int>(m.job) << '\n';
+    for (std::uint8_t job = 0; job < 4; ++job)
+        o << "H job " << static_cast<int>(job) << ' '
+          << sw.accelerator().threshold(job) << '\n';
+    return o.str();
+}
+
+TEST(PerJobKnobs, HaBackupMirrorsJoinSetHAndLeave)
+{
+    // The backup applies what its primary mirrors through the control
+    // plane's own membership path, so after a Join, a SetH and a Leave
+    // at the primary, its rows, per-job H and pins equal the primary's.
+    sim::Simulation s(1);
+    ClusterConfig cfg;
+    cfg.worker_jobs = {1, 1, 2, 2};
+    cfg.ha.with_backup = true;
+    const Cluster c = buildStarCluster(s, cfg);
+    ASSERT_NE(c.backup, nullptr);
+    core::ProgrammableSwitch &primary = *c.root;
+    core::ProgrammableSwitch &backup = *c.backup;
+    ASSERT_EQ(membershipDump(backup), membershipDump(primary));
+
+    // Worker 0 rejoins as job 3, worker 1 pins job 1 at 5, and worker 2
+    // leaves job 2.
+    sendControl(c, c.workers[0],
+                {net::Action::kJoin,
+                 core::encodeJoinValue(kWorkerPort, core::MemberType::kWorker,
+                                       3),
+                 true});
+    s.run();
+    sendControl(c, c.workers[1], {net::Action::kSetH, 5, true});
+    s.run();
+    sendControl(c, c.workers[2], {net::Action::kLeave, 0, false});
+    s.run();
+    EXPECT_EQ(primary.controlPlane().table().size(), 3u);
+    EXPECT_EQ(primary.accelerator().threshold(1), 5u);
+    EXPECT_EQ(primary.accelerator().threshold(2), 1u);
+    EXPECT_EQ(primary.accelerator().threshold(3), 1u);
+    EXPECT_EQ(membershipDump(backup), membershipDump(primary));
+
+    // Pins: one more member per job moves the H of exactly the
+    // unpinned jobs, on both switches alike.
+    for (std::uint8_t job = 0; job < 4; ++job)
+        for (core::ProgrammableSwitch *sw : {&primary, &backup})
+            sw->adminJoin(net::Ipv4Addr(10, 0, 9, 1 + job), kWorkerPort,
+                          core::MemberType::kWorker, job);
+    EXPECT_EQ(primary.accelerator().threshold(1), 5u);
+    EXPECT_EQ(primary.accelerator().threshold(3), 2u);
+    EXPECT_EQ(membershipDump(backup), membershipDump(primary));
 }
 
 TEST(PerJobKnobs, PinnedThresholdSurvivesAnotherJobsLeave)

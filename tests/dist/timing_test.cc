@@ -71,14 +71,6 @@ TEST(Timing, ZeroMeanComponentSamplesZero)
     EXPECT_EQ(p.sample(IterComponent::kGpuCopy, rng), 0u);
 }
 
-TEST(Timing, ScaledProfileShrinksUniformly)
-{
-    const ComputeProfile p = profileFor(rl::Algo::kA2c);
-    const ComputeProfile half = scaled(p, 0.5);
-    EXPECT_NEAR(static_cast<double>(half.lgcMean()),
-                static_cast<double>(p.lgcMean()) * 0.5, 2.0);
-}
-
 TEST(Timing, MujocoEnvsCostMoreThanAtariPerStep)
 {
     // The calibration encodes that simulated-physics environments are

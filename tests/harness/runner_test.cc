@@ -182,10 +182,9 @@ TEST(Runner, SeedOverrideChangesRunIdentity)
         timingSpec(rl::Algo::kA2c, dist::StrategyKind::kSyncPs);
     spec.config.stop.max_iterations = 3;
     ExperimentSpec reseeded = spec;
-    reseeded.seed = 99;
+    reseeded.config.seed = 99;
 
-    EXPECT_FALSE(SpecKey::of(spec.normalizedConfig()) ==
-                 SpecKey::of(reseeded.normalizedConfig()));
+    EXPECT_FALSE(SpecKey::of(spec.config) == SpecKey::of(reseeded.config));
 
     Runner runner(quietOpts(2));
     runner.run(spec);
